@@ -82,30 +82,36 @@ std::vector<NodeId> DynamicKCore::subcore_region(std::vector<NodeId> roots,
     }
   }
 
-  // Iterative peel within the region: w needs K+1 supporters among
-  // (neighbors with old coreness >= K+1) ∪ (neighbors still in region).
-  // Nodes failing the condition cannot rise, and removing them can only
-  // invalidate others — standard peeling to the unique maximal fixpoint,
-  // a safe superset of the truly-rising set.
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    std::size_t keep = 0;
-    for (std::size_t i = 0; i < region.size(); ++i) {
-      const NodeId w = region[i];
-      NodeId support = 0;
-      for (const NodeId x : adjacency_[w]) {
-        if (estimate_[x] >= K + 1 || in_region[x]) ++support;
-      }
-      if (support >= K + 1) {
-        region[keep++] = w;
-      } else {
-        in_region[w] = false;
-        changed = true;
+  // Peel within the region: w needs K+1 supporters among (neighbors with
+  // old coreness >= K+1) ∪ (neighbors still in region). Nodes failing the
+  // condition cannot rise, and removing them can only invalidate others —
+  // standard peeling to the unique maximal fixpoint, a safe superset of
+  // the truly-rising set. Counter-based: each node's support is counted
+  // once, and a removal decrements only its region neighbors.
+  std::vector<NodeId> support(adjacency_.size(), 0);
+  std::vector<NodeId> doomed;
+  for (const NodeId w : region) {
+    for (const NodeId x : adjacency_[w]) {
+      if (estimate_[x] >= K + 1 || in_region[x]) ++support[w];
+    }
+  }
+  for (const NodeId w : region) {
+    if (support[w] < K + 1) {
+      in_region[w] = false;
+      doomed.push_back(w);
+    }
+  }
+  while (!doomed.empty()) {
+    const NodeId w = doomed.back();
+    doomed.pop_back();
+    for (const NodeId x : adjacency_[w]) {
+      if (in_region[x] && --support[x] < K + 1) {
+        in_region[x] = false;
+        doomed.push_back(x);
       }
     }
-    region.resize(keep);
   }
+  std::erase_if(region, [&](NodeId w) { return !in_region[w]; });
   return region;
 }
 

@@ -18,7 +18,7 @@ using Clock = util::SteadyClock;
 
 RepairEngine::RepairEngine(const LiveGraph& graph,
                            const RepairOptions& options)
-    : graph_(graph), options_(options) {
+    : graph_(graph), options_(options), order_(graph) {
   const NodeId n = graph.num_nodes();
   workers_ = par::resolve_threads(options.threads);
   if (n > 0 && workers_ > n) workers_ = n;
@@ -35,7 +35,6 @@ RepairEngine::RepairEngine(const LiveGraph& graph,
   worklist_ = std::make_unique<par::AsyncWorklist>(n, workers_,
                                                    options_.sched);
   in_pending_.assign(n, 0);
-  in_region_.assign(n, 0);
 }
 
 void RepairEngine::mark_pending(NodeId u) {
@@ -45,6 +44,7 @@ void RepairEngine::mark_pending(NodeId u) {
 }
 
 RepairStats RepairEngine::initialize() {
+  order_.clear();
   const NodeId n = graph_.num_nodes();
   for (NodeId u = 0; u < n; ++u) {
     est_[u].store(graph_.degree(u), std::memory_order_relaxed);
@@ -57,97 +57,52 @@ void RepairEngine::warm_start(const std::vector<NodeId>& coreness) {
   KCORE_CHECK_MSG(coreness.size() == est_.size(),
                   "warm_start table size " << coreness.size()
                                            << " != node count " << est_.size());
+  order_.clear();
   const NodeId n = graph_.num_nodes();
   for (NodeId u = 0; u < n; ++u) {
     est_[u].store(coreness[u], std::memory_order_relaxed);
   }
 }
 
-std::vector<NodeId> RepairEngine::subcore_region(NodeId u, NodeId v,
-                                                 NodeId K) {
-  // Mirrors core::DynamicKCore::subcore_region over the live adjacency
-  // and the (currently exact, single-threaded) atomic table; see the
-  // purecore-pruning argument there.
-  auto est_of = [&](NodeId w) {
-    return est_[w].load(std::memory_order_relaxed);
-  };
-  auto can_rise = [&](NodeId w) {
-    if (est_of(w) != K) return false;
-    NodeId cd = 0;
-    for (const NodeId x : graph_.neighbors(w)) {
-      if (est_of(x) >= K && ++cd > K) return true;
-    }
-    return false;
-  };
-
-  std::vector<NodeId> region;
-  region_stack_.clear();
-  for (const NodeId r : {u, v}) {
-    if (!in_region_[r] && can_rise(r)) {
-      in_region_[r] = 1;
-      region_stack_.push_back(r);
-    }
-  }
-  while (!region_stack_.empty()) {
-    const NodeId w = region_stack_.back();
-    region_stack_.pop_back();
-    region.push_back(w);
-    for (const NodeId x : graph_.neighbors(w)) {
-      if (!in_region_[x] && can_rise(x)) {
-        in_region_[x] = 1;
-        region_stack_.push_back(x);
-      }
-    }
-  }
-
-  // Peel candidates lacking K+1 supporters among (estimate >= K+1) ∪
-  // (still in region) down to the maximal fixpoint.
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    std::size_t keep = 0;
-    for (std::size_t i = 0; i < region.size(); ++i) {
-      const NodeId w = region[i];
-      NodeId support = 0;
-      for (const NodeId x : graph_.neighbors(w)) {
-        if (est_of(x) >= K + 1 || in_region_[x]) ++support;
-      }
-      if (support >= K + 1) {
-        region[keep++] = w;
-      } else {
-        in_region_[w] = 0;
-        changed = true;
-      }
-    }
-    region.resize(keep);
-  }
-  for (const NodeId w : region) in_region_[w] = 0;
-  return region;
-}
-
 void RepairEngine::note_insert(NodeId u, NodeId v) {
-  const NodeId K = std::min(est_[u].load(std::memory_order_relaxed),
-                            est_[v].load(std::memory_order_relaxed));
-  const auto region = subcore_region(u, v, K);
-  for (const NodeId w : region) {
-    // The provable post-insertion upper bound; restores Theorem 2 safety
-    // so the downward relaxation below is exact again.
-    est_[w].store(std::min<NodeId>(K + 1, graph_.degree(w)),
-                  std::memory_order_relaxed);
-    mark_pending(w);
+  KCORE_CHECK_MSG(!removal_pending_,
+                  "note_insert after note_remove needs a repair() between");
+  if (!order_.valid()) {
+    // Lazy build: one peel of the graph as it was before {u,v}, which
+    // must reproduce the (exact) table.
+    order_.build(u, v);
+    ++rebuilds_pending_;
+    const NodeId n = graph_.num_nodes();
+    for (NodeId w = 0; w < n; ++w) {
+      const NodeId peeled = order_.core(w);
+      const NodeId table = est_[w].load(std::memory_order_relaxed);
+      if (peeled != table) order_.clear();
+      KCORE_CHECK_MSG(peeled == table,
+                      "k-order peel disagrees with the table at node "
+                          << w << ": " << peeled << " vs " << table);
+    }
   }
-  raised_pending_ += region.size();
-  mark_pending(u);
-  mark_pending(v);
+  const auto risen = order_.insert(u, v);
+  for (const NodeId w : risen) {
+    est_[w].store(order_.core(w), std::memory_order_relaxed);
+  }
+  raised_pending_ += risen.size();
 }
 
 void RepairEngine::note_remove(NodeId u, NodeId v) {
+  if (order_.valid()) order_.remove(u, v);
+  removal_pending_ = true;
   mark_pending(u);
   mark_pending(v);
 }
 
 RepairStats RepairEngine::repair() {
   RepairStats stats;
+  stats.raised = raised_pending_;
+  stats.order_rebuilds = rebuilds_pending_;
+  raised_pending_ = 0;
+  rebuilds_pending_ = 0;
+  removal_pending_ = false;
   if (pending_.empty()) return stats;
   const auto start = Clock::now();
 
@@ -163,13 +118,14 @@ RepairStats RepairEngine::repair() {
     worklist.seed(u, static_cast<unsigned>(i) % workers_, bucket);
   }
   stats.seeded = pending_.size();
-  stats.raised = raised_pending_;
   pending_.clear();
-  raised_pending_ = 0;
 
   const bool targeted = options_.targeted_send;
   const SchedPolicy sched = options_.sched;
   std::atomic<std::uint64_t> skipped_total{0};
+  // Each worker flags whether it lowered any estimate; the flags are
+  // OR-ed here, and any drop invalidates the order.
+  std::atomic<bool> lowered_some{false};
   std::atomic<bool> abort{false};
   std::mutex error_mutex;
   std::exception_ptr first_error;
@@ -183,6 +139,7 @@ RepairStats RepairEngine::repair() {
     try {
       core::IndexScratch scratch;
       std::uint64_t skipped = 0;
+      bool lowered_any = false;
       unsigned idle_sweeps = 0;
       while (!worklist.done() && !abort.load(std::memory_order_relaxed)) {
         const std::uint32_t u = worklist.acquire(w);
@@ -229,6 +186,7 @@ RepairStats RepairEngine::repair() {
             }
           }
           if (lowered) {
+            lowered_any = true;
             const std::uint32_t drop = stored - refined;
             const bool need_neighbor_estimate =
                 targeted || sched == SchedPolicy::kBound;
@@ -257,6 +215,7 @@ RepairStats RepairEngine::repair() {
         worklist.finish();
       }
       skipped_total.fetch_add(skipped, std::memory_order_relaxed);
+      if (lowered_any) lowered_some.store(true, std::memory_order_relaxed);
     } catch (...) {
       {
         const std::lock_guard<std::mutex> lock(error_mutex);
@@ -271,6 +230,9 @@ RepairStats RepairEngine::repair() {
   for (unsigned w = 1; w < workers_; ++w) pool.emplace_back(worker_fn, w);
   worker_fn(0);
   for (auto& thread : pool) thread.join();
+  if (first_error || lowered_some.load(std::memory_order_relaxed)) {
+    order_.clear();
+  }
   if (first_error) std::rethrow_exception(first_error);
 
   stats.relaxations = worklist.total_enqueues();

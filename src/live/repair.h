@@ -2,25 +2,33 @@
 //
 // The paper's locality claim, executed as a service primitive: the
 // engine keeps a persistent shared atomic estimate table over a
-// LiveGraph and, after each topology change, re-establishes the exact
+// LiveGraph and, after each batch of deletions, re-establishes the exact
 // fixed point by chaotic relaxation seeded ONLY with the perturbed
-// region — not the whole graph. The machinery is exactly the bsp-async
-// batch engine's (par/async_worklist.h: in-queue flags, bucketed
-// work-stealing pool, quiescence detector, the same bound/delta bucket
-// maps), re-pointed at a mutable adjacency and a warm estimate table.
+// endpoints — not the whole graph (insertions take the k-order path
+// below). The machinery is exactly the bsp-async batch engine's
+// (par/async_worklist.h: in-queue flags, bucketed work-stealing pool,
+// quiescence detector, the same bound/delta bucket maps), re-pointed at
+// a mutable adjacency and a warm estimate table.
 //
 // Why warm-starting is exact (core/dynamic.h has the full argument):
 //  * a DELETION only lowers coreness, so the converged table is still a
 //    safe upper bound — re-activating the two endpoints and relaxing
 //    downward restores exactness (Theorem 2 applies verbatim);
-//  * an INSERTION may under-estimate, so before seeding, the K-subcore
-//    candidate region around the endpoints (K = min(est(u), est(v))) is
-//    raised to min(K+1, degree) — the provable upper bound — after which
-//    downward relaxation is again exact. Raises are computed one edge at
-//    a time against exact estimates, which keeps them exact in turn.
+//  * an INSERTION is not relaxed at all. The engine keeps a k-order
+//    (live/korder.h, Zhang et al.'s OrderInsert): the insert updates
+//    deg+ of the earlier endpoint, usually stops there, and otherwise
+//    walks only the part of the K-shell that gained a candidate
+//    neighbour. The nodes that rise get exactly K+1 stored and nothing is
+//    marked pending, so an insert-only batch runs no relaxation and
+//    spawns no threads. The order is built lazily by one bucket peel at
+//    the first insertion (checked against the table) and dropped
+//    whenever the table is reset (initialize(), warm_start()) or a
+//    repair lowers any estimate. A deletion that lowers nothing keeps
+//    it: it only takes one off deg+ of the earlier endpoint.
 //
 // Thread contract: initialize(), note_insert(), note_remove() and
-// repair() are called by ONE writer thread; repair() spawns and joins
+// repair() are called by ONE writer thread, with every note_insert() of
+// a batch before its first note_remove(); repair() spawns and joins
 // the worker pool internally, so the estimate table is never mutated
 // concurrently with the notes. Readers of the published coreness never
 // touch this class (live::Service hands them immutable snapshots).
@@ -33,6 +41,7 @@
 
 #include "core/run_options.h"
 #include "graph/graph.h"
+#include "live/korder.h"
 #include "live/live_graph.h"
 #include "par/async_worklist.h"
 
@@ -46,12 +55,14 @@ struct RepairOptions {
 
 /// Cost of one repair run (or of initialize()'s full convergence).
 struct RepairStats {
-  /// Nodes seeded into the worklist (endpoints + raised candidate
-  /// regions) — the localized dirty set the run started from.
+  /// Nodes seeded into the worklist (deletion endpoints) — the localized
+  /// dirty set the run started from.
   std::uint64_t seeded = 0;
-  /// Estimates lifted by the insertion safety rule (candidate-region
-  /// size summed over the batch's insertions).
+  /// Coreness values the batch's insertions raised (exactly; summed over
+  /// the insertions), counted even when nothing was left to relax.
   std::uint64_t raised = 0;
+  /// k-order builds the batch's insertions paid for (0 or 1).
+  std::uint64_t order_rebuilds = 0;
   std::uint64_t relaxations = 0;
   std::uint64_t steals = 0;
   std::uint64_t pop_scans = 0;
@@ -79,8 +90,9 @@ class RepairEngine {
   void warm_start(const std::vector<graph::NodeId>& coreness);
 
   /// Record an insertion of {u,v} that was ALREADY applied to the graph:
-  /// raises the K-subcore candidate region and marks it dirty. Must run
-  /// between repairs (the table is exact when it executes).
+  /// runs OrderInsert and stores the exact new coreness of the nodes that
+  /// rise; marks nothing pending. The table must be exact when it runs:
+  /// no note_remove() since the last repair().
   void note_insert(graph::NodeId u, graph::NodeId v);
 
   /// Record a deletion of {u,v} already applied to the graph: the table
@@ -88,8 +100,9 @@ class RepairEngine {
   void note_remove(graph::NodeId u, graph::NodeId v);
 
   /// Relax the pending dirty set to quiescence; returns the run's cost
-  /// and clears the pending set. A no-op (all-zero stats) when nothing
-  /// is pending.
+  /// (plus the insertions' raised/order_rebuilds since the last call)
+  /// and clears the pending set. Runs no workers when nothing is
+  /// pending.
   RepairStats repair();
 
   [[nodiscard]] unsigned workers() const noexcept { return workers_; }
@@ -102,16 +115,11 @@ class RepairEngine {
   }
   /// Copy the converged table (between repairs).
   void copy_coreness(std::vector<graph::NodeId>& out) const;
+  /// The maintained k-order; valid() is false until the first insertion
+  /// after a reset or a lowering repair.
+  [[nodiscard]] const KOrder& order() const noexcept { return order_; }
 
  private:
-  /// Collect the insertion candidate region around {u,v}: nodes of
-  /// estimate exactly K reachable through such nodes, peeled to those
-  /// with enough support to actually rise (mirrors
-  /// core::DynamicKCore::subcore_region over the live adjacency).
-  [[nodiscard]] std::vector<graph::NodeId> subcore_region(graph::NodeId u,
-                                                          graph::NodeId v,
-                                                          graph::NodeId K);
-
   void mark_pending(graph::NodeId u);
 
   const LiveGraph& graph_;
@@ -123,9 +131,9 @@ class RepairEngine {
   std::vector<graph::NodeId> pending_;   // dirty set for the next repair
   std::vector<std::uint8_t> in_pending_;
   std::uint64_t raised_pending_ = 0;
-  // subcore_region scratch (kept across calls: zero steady-state allocs)
-  std::vector<graph::NodeId> region_stack_;
-  std::vector<std::uint8_t> in_region_;
+  std::uint64_t rebuilds_pending_ = 0;
+  bool removal_pending_ = false;  // a note_remove() since the last repair
+  KOrder order_;
 };
 
 }  // namespace kcore::live

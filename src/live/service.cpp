@@ -217,6 +217,7 @@ void Service::setup_metrics() {
   c_relaxations_ = registry_->counter("live.relaxations");
   c_seeded_ = registry_->counter("live.seeded_nodes");
   c_raised_ = registry_->counter("live.raised_nodes");
+  c_order_rebuilds_ = registry_->counter("live.order_rebuilds");
   c_rejected_ = registry_->counter("live.rejected_updates");
   c_wal_batches_ = registry_->counter("live.wal_batches");
   c_wal_bytes_ = registry_->counter("live.wal_bytes");
@@ -249,9 +250,10 @@ void Service::publish() {
 }
 
 void Service::publish_provisional() {
-  // Mid-repair: the estimate table is a sound upper bound (raises are
-  // done before workers start; relaxation only moves estimates DOWN), so
-  // handing it out keeps readers fresh without breaking Theorem 1.
+  // Mid-repair: the estimate table is a sound upper bound (insertions
+  // leave it exact before workers start; relaxation only moves estimates
+  // DOWN), so handing it out keeps readers fresh without breaking
+  // Theorem 1.
   auto snapshot = std::make_shared<Snapshot>();
   snapshot->epoch = epoch_;  // the PENDING epoch; finalized by publish()
   snapshot->topology_version = graph_.version();
@@ -338,9 +340,9 @@ ApplyResult Service::apply(std::span<const graph::EdgeUpdate> batch) {
     ++valid;
   }
 
-  // Insertions first: each raise runs against a table that is exact for
-  // the graph-so-far, which keeps the raises (and therefore the single
-  // repair below) exact — see live/repair.h.
+  // Insertions first: each one runs against a table that is exact for
+  // the graph-so-far and leaves it exact, so the single repair below
+  // only has the deletions to relax — see live/repair.h.
   for (const auto& [edge, present] : final_present) {
     if (!present || graph_.has_edge(edge.first, edge.second)) continue;
     graph_.apply({graph::EdgeOp::kInsert, edge.first, edge.second});
@@ -384,6 +386,8 @@ ApplyResult Service::apply(std::span<const graph::EdgeUpdate> batch) {
     registry_->add(c_relaxations_, kWriterSlot, result.repair.relaxations);
     registry_->add(c_seeded_, kWriterSlot, result.repair.seeded);
     registry_->add(c_raised_, kWriterSlot, result.repair.raised);
+    registry_->add(c_order_rebuilds_, kWriterSlot,
+                   result.repair.order_rebuilds);
     registry_->add(c_rejected_, kWriterSlot, result.rejected_updates);
     if (result.wal_bytes > 0) {
       registry_->add(c_wal_batches_, kWriterSlot, 1);

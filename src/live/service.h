@@ -48,8 +48,9 @@
 //    churn within one batch are IGNORED (only the net topology effect is
 //    applied);
 //  * net insertions are applied before net deletions, each insertion
-//    raising its K-subcore candidate region (see live/repair.h), then
-//    one relaxation run re-converges the whole batch.
+//    updating the exact table through the maintained k-order (see
+//    live/repair.h), then one relaxation run re-converges the
+//    deletions (none runs for an insert-only batch).
 //
 // Metric glossary (enabled via ServiceOptions::metrics in KCORE_OBS
 // builds; all counters are exposed through metrics() and must equal the
@@ -58,7 +59,8 @@
 //   live.epoch_publishes       final snapshots published (applies + 1)
 //   live.relaxations           vertex recomputations across all repairs
 //   live.seeded_nodes          nodes seeded dirty (localized region size)
-//   live.raised_nodes          estimates raised by the insertion rule
+//   live.raised_nodes          coreness values raised by insertions
+//   live.order_rebuilds        lazy k-order builds (live/korder.h)
 //   live.rejected_updates      out-of-range updates dropped
 //   live.wal_batches           batch records appended to the WAL
 //   live.wal_bytes             bytes appended to the WAL
@@ -273,6 +275,7 @@ class Service {
   obs::Counter c_relaxations_;
   obs::Counter c_seeded_;
   obs::Counter c_raised_;
+  obs::Counter c_order_rebuilds_;
   obs::Counter c_rejected_;
   obs::Counter c_wal_batches_;
   obs::Counter c_wal_bytes_;

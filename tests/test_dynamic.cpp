@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <utility>
+
 #include "graph/generators.h"
 #include "seq/kcore_seq.h"
 #include "util/rng.h"
@@ -273,6 +276,33 @@ TEST(DynamicKCoreCost, InsertionActivatesOnlyTheSubcore) {
   // The 1-subcore is the whole chain, so activation can be large — but
   // messages must stay bounded by a couple of traversals of it.
   EXPECT_LT(stats.messages, 4000U);
+}
+
+TEST(DynamicKCoreCost, InsertionRegionIsTheMaximalPeelFixpoint) {
+  // The candidate region is peeled to the unique maximal set in which
+  // every node keeps K+1 supporters; a peel that stops early (or runs
+  // past it) raises a different region and sends a different number of
+  // messages. The totals below were recorded with the original
+  // full-rescan peel and pin the counter-based one to the same fixpoint.
+  const std::pair<std::uint64_t, std::uint64_t> expected[] = {
+      {676, 92}, {976, 118}, {391, 82}};  // {messages, nodes activated}
+  for (std::uint64_t seed = 4; seed <= 6; ++seed) {
+    DynamicKCore dyn(gen::erdos_renyi_gnm(60, 150, seed));
+    util::Xoshiro256 rng(seed + 100);
+    std::uint64_t messages = 0;
+    std::uint64_t activated = 0;
+    for (int i = 0; i < 40; ++i) {
+      const auto u = static_cast<NodeId>(rng.next_below(60));
+      const auto v = static_cast<NodeId>(rng.next_below(60));
+      if (u == v) continue;
+      const auto stats = dyn.add_edge(u, v);
+      messages += stats.messages;
+      activated += stats.nodes_activated;
+    }
+    expect_exact(dyn, "after insertions");
+    EXPECT_EQ(messages, expected[seed - 4].first) << "seed " << seed;
+    EXPECT_EQ(activated, expected[seed - 4].second) << "seed " << seed;
+  }
 }
 
 TEST(DynamicKCoreCost, MaintenanceBeatsRestartOnChurn) {

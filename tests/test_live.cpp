@@ -294,14 +294,18 @@ TEST(LiveService, ConcurrentReadersOnlySeeQuiescentEpochs) {
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> violations{0};
   std::atomic<std::uint64_t> reads{0};
+  std::atomic<int> started{0};
   std::vector<std::thread> readers;
   readers.reserve(4);
   for (int r = 0; r < 4; ++r) {
     readers.emplace_back([&] {
       std::uint64_t last_epoch = 0;
-      while (!stop.load(std::memory_order_acquire)) {
+      bool first = true;
+      while (first || !stop.load(std::memory_order_acquire)) {
         const auto snapshot = service.query();
         reads.fetch_add(1, std::memory_order_relaxed);
+        if (first) started.fetch_add(1, std::memory_order_release);
+        first = false;
         // Epochs move forward only, and every published table is the
         // exact coreness its epoch number promises — no reader can ever
         // catch a half-repaired mix.
@@ -314,6 +318,9 @@ TEST(LiveService, ConcurrentReadersOnlySeeQuiescentEpochs) {
       }
     });
   }
+  // Applies are fast enough to finish before a reader thread is even
+  // scheduled: start writing only once every reader holds a snapshot.
+  while (started.load(std::memory_order_acquire) < 4) std::this_thread::yield();
   for (std::size_t b = 0; b < log.num_batches(); ++b) {
     service.apply(log.batch(b));
   }
