@@ -2,11 +2,12 @@
 // O(log d) membership and O(d) insert/remove, built from an immutable
 // graph::Graph and mutated in place by the single writer.
 //
-// Thread contract: apply() is single-writer. The repair workers
-// (live/repair.cpp) read neighbors() concurrently with EACH OTHER but
-// never concurrently with apply() — the service's apply cycle is
-// strictly "mutate topology, then run repair workers, then publish", and
-// the writer's thread spawn/join gives the needed happens-before edges.
+// Thread contract: apply() is single-writer. The repair workers (the
+// par/relax.h loop, called from live/repair.cpp) read neighbors()
+// concurrently with EACH OTHER but never concurrently with apply() — the
+// service's apply cycle is strictly "mutate topology, then run repair
+// workers, then publish", and the writer's spawn/join of those workers
+// gives the needed happens-before edges.
 // Snapshot readers never touch this structure at all (they read the
 // published immutable live::Snapshot).
 #pragma once

@@ -5,10 +5,9 @@
 // LiveGraph and, after each batch of deletions, re-establishes the exact
 // fixed point by chaotic relaxation seeded ONLY with the perturbed
 // endpoints — not the whole graph (insertions take the k-order path
-// below). The machinery is exactly the bsp-async batch engine's
-// (par/async_worklist.h: in-queue flags, bucketed work-stealing pool,
-// quiescence detector, the same bound/delta bucket maps), re-pointed at
-// a mutable adjacency and a warm estimate table.
+// below). The relaxation itself is par::relax() (par/relax.h), the same
+// routine bsp-async runs: this engine only owns the warm
+// par::AsyncRunContext, the pending-set seeding and the k-order.
 //
 // Why warm-starting is exact (core/dynamic.h has the full argument):
 //  * a DELETION only lowers coreness, so the converged table is still a
@@ -28,22 +27,21 @@
 //
 // Thread contract: initialize(), note_insert(), note_remove() and
 // repair() are called by ONE writer thread, with every note_insert() of
-// a batch before its first note_remove(); repair() spawns and joins
-// the worker pool internally, so the estimate table is never mutated
-// concurrently with the notes. Readers of the published coreness never
-// touch this class (live::Service hands them immutable snapshots).
+// a batch before its first note_remove(); repair() runs par::relax(),
+// which spawns and joins the worker pool, so the estimate table is never
+// mutated concurrently with the notes. Readers of the published coreness
+// never touch this class (live::Service hands them immutable snapshots).
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "core/run_options.h"
 #include "graph/graph.h"
 #include "live/korder.h"
 #include "live/live_graph.h"
-#include "par/async_worklist.h"
+#include "par/async_engine.h"
 
 namespace kcore::live {
 
@@ -105,13 +103,15 @@ class RepairEngine {
   /// pending.
   RepairStats repair();
 
-  [[nodiscard]] unsigned workers() const noexcept { return workers_; }
+  [[nodiscard]] unsigned workers() const noexcept {
+    return ctx_.worklist->workers();
+  }
   [[nodiscard]] core::SchedPolicy sched() const noexcept {
     return options_.sched;
   }
   /// Current exact estimate of one node (between repairs).
   [[nodiscard]] graph::NodeId estimate(graph::NodeId u) const {
-    return est_[u].load(std::memory_order_relaxed);
+    return ctx_.est[u].load(std::memory_order_relaxed);
   }
   /// Copy the converged table (between repairs).
   void copy_coreness(std::vector<graph::NodeId>& out) const;
@@ -124,10 +124,7 @@ class RepairEngine {
 
   const LiveGraph& graph_;
   RepairOptions options_;
-  unsigned workers_ = 1;
-  std::vector<std::atomic<graph::NodeId>> est_;
-  std::vector<std::atomic<std::uint32_t>> delta_;  // kDelta accumulators
-  std::unique_ptr<par::AsyncWorklist> worklist_;
+  par::AsyncRunContext ctx_;  // warm estimate table + delta + worklist
   std::vector<graph::NodeId> pending_;   // dirty set for the next repair
   std::vector<std::uint8_t> in_pending_;
   std::uint64_t raised_pending_ = 0;

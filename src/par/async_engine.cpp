@@ -1,19 +1,14 @@
 #include "par/async_engine.h"
 
-#include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <exception>
 #include <memory>
-#include <mutex>
-#include <span>
-#include <thread>
 #include <vector>
 
 #include "core/assignment.h"
-#include "core/compute_index.h"
 #include "par/engine.h"
+#include "par/relax.h"
 #include "util/check.h"
 #include "util/clock.h"
 #include "util/rng.h"
@@ -32,32 +27,15 @@ AsyncStats AsyncStats::from_metrics(const obs::MetricsSnapshot& m,
   return s;
 }
 
-namespace {
-
 using core::SchedPolicy;
-
-}  // namespace
-
-// AsyncWorklist lives in par/async_worklist.h (a template over the chk
-// synchronization shim; this engine uses the RealSync instantiation),
-// along with the per-policy bucket maps (bound_bucket / delta_bucket)
-// shared with the incremental repair engine in live/repair.cpp.
-
-// --- run_bsp_async ----------------------------------------------------------
-
-namespace {
-
 using Clock = util::SteadyClock;
-
-}  // namespace
 
 AsyncPrepared prepare_bsp_async(const graph::Graph& g,
                                 const core::RunOptions& options) {
   const graph::NodeId n = g.num_nodes();
   KCORE_CHECK_MSG(n > 0, "graph must be non-empty");
   AsyncPrepared prepared;
-  prepared.workers = resolve_threads(options.threads);
-  if (prepared.workers > n) prepared.workers = n;
+  prepared.workers = resolve_workers(options.threads, n);
   prepared.sched = options.sched;
   // Initial distribution of the all-dirty vertex set over the worker
   // lanes via the §3.2.2 policies — a pure function of the options (the
@@ -108,12 +86,10 @@ AsyncResult run_bsp_async_prepared(const graph::Graph& g,
                       << core::to_string(prepared.sched)
                       << ", this run asks for "
                       << core::to_string(options.sched));
-  KCORE_CHECK_MSG(
-      prepared.workers == std::min<unsigned>(resolve_threads(options.threads),
-                                             n),
-      "prepared state was built for " << prepared.workers
-                                      << " workers, this run asks for "
-                                      << options.threads << " threads");
+  KCORE_CHECK_MSG(prepared.workers == resolve_workers(options.threads, n),
+                  "prepared state was built for "
+                      << prepared.workers << " workers, this run asks for "
+                      << options.threads << " threads");
   const unsigned workers = prepared.workers;
   const SchedPolicy sched = prepared.sched;
   result.threads_used = workers;
@@ -145,173 +121,21 @@ AsyncResult run_bsp_async_prepared(const graph::Graph& g,
     }
   }
 
-  const bool targeted = options.targeted_send;
-  std::atomic<bool> abort{false};
-  std::atomic<std::uint64_t> skipped_total{0};
-  std::mutex error_mutex;
-  std::exception_ptr first_error;
-
   // Telemetry (obs/obs.h): null recorder unless this run asked for some
-  // AND the build has KCORE_OBS=ON — every hot-path hook below is an
-  // OBS_* macro (empty when compiled out) or a branch on a condition
-  // that constant-folds to false, so the uninstrumented run is unchanged.
+  // AND the build has KCORE_OBS=ON. The scheduling tallies are folded
+  // into these counters after the join; relax() registers its own.
   auto recorder = obs::Recorder::make(workers, options.obs);
   obs::Counter c_relax;
   obs::Counter c_steals;
   obs::Counter c_pop_scans;
-  obs::Counter c_skipped;
   obs::Counter c_detector;
-  obs::Counter c_wakes;
-  obs::HistogramId h_relax_ns;
-  obs::HistogramId h_scan_len;
-  obs::HistogramId h_wake_fanout;
   if (recorder && recorder->metrics_on()) {
     obs::Registry& reg = recorder->registry();
     c_relax = reg.counter("async.relaxations");
     c_steals = reg.counter("async.steals");
     c_pop_scans = reg.counter("async.pop_scans");
-    c_skipped = reg.counter("async.skipped_recomputes");
     c_detector = reg.counter("async.detector_passes");
-    c_wakes = reg.counter("async.wakes");
-    h_relax_ns = reg.histogram("async.relax_ns");
-    h_scan_len = reg.histogram("async.acquire_scan_len");
-    h_wake_fanout = reg.histogram("async.wake_fanout");
   }
-
-  auto worker_fn = [&](unsigned w) {
-    try {
-      core::IndexScratch scratch;
-      obs::WorkerContext* const octx =
-          recorder ? recorder->worker(w) : nullptr;
-      // obs::kEnabled folds the whole metrics path away at compile time
-      // when the telemetry layer is off.
-      const bool metrics_on =
-          obs::kEnabled && octx != nullptr && octx->metrics();
-      std::uint64_t prev_scans = 0;
-      std::uint64_t skipped = 0;
-      unsigned idle_sweeps = 0;
-      while (!worklist.done() && !abort.load(std::memory_order_relaxed)) {
-        const std::uint32_t u = worklist.acquire(w);
-        if (u == AsyncWorklist::kNone) {
-          // Nothing runnable HERE is not termination: another worker may
-          // still be relaxing (its wakes will repopulate the lanes).
-          // Only the detector's confirmed zero ends the run.
-          if (worklist.try_confirm()) {
-            OBS_INSTANT(octx, "quiescence.confirmed");
-            break;
-          }
-          // Back off while dry: a long sequential dependency chain can
-          // idle most of the pool, and a tight retry loop would ping-pong
-          // the detector counter's cache line against the one worker
-          // whose add/finish RMWs are the critical path.
-          if (++idle_sweeps < 64) {
-            std::this_thread::yield();
-          } else {
-            std::this_thread::sleep_for(std::chrono::microseconds(50));
-          }
-          continue;
-        }
-        idle_sweeps = 0;
-        if (metrics_on) {
-          // Probes accumulated since the previous successful acquire —
-          // this acquire's bucket scan plus any dry sweeps in between.
-          const std::uint64_t scans = worklist.tally(w).pop_scans;
-          octx->observe(h_scan_len, scans - prev_scans);
-          prev_scans = scans;
-        }
-        // Spans the whole relaxation of u (through the wakes and the
-        // finish below — the destructor fires at the end of the
-        // iteration); also feeds the latency histogram, in ns.
-        OBS_SPAN(octx, "relax", h_relax_ns);
-        worklist.begin(u);  // clear-before-read: the wakeup handshake
-        if (sched == SchedPolicy::kDelta) {
-          // Consume the pending-change accumulator: priority restarts
-          // from zero for the NEXT activation of u (hint only — a racing
-          // accumulate merely inflates a later priority).
-          delta[u].store(0, std::memory_order_relaxed);
-        }
-        const graph::NodeId k = est[u].load(std::memory_order_acquire);
-        const std::span<const graph::NodeId> nbrs = g.neighbors(u);
-        // Skip-scan + allocation-free streamed count, shared with
-        // bsp-par (core::IndexScratch::refine): the estimates stream
-        // straight from the shared table into the epoch-stamped kernel.
-        bool fast_path = false;
-        const graph::NodeId refined = scratch.refine(
-            nbrs.size(), k,
-            [&](std::size_t i) {
-              return est[nbrs[i]].load(std::memory_order_acquire);
-            },
-            fast_path);
-        if (fast_path) {
-          ++skipped;
-          OBS_COUNT(octx, c_skipped, 1);
-        }
-        if (refined < k) {
-          // Publish via CAS-min: est only decreases, and a concurrent
-          // relaxation of u may already have gone lower.
-          graph::NodeId cur = est[u].load(std::memory_order_relaxed);
-          bool lowered = false;
-          while (cur > refined) {
-            if (est[u].compare_exchange_weak(cur, refined,
-                                             std::memory_order_acq_rel,
-                                             std::memory_order_relaxed)) {
-              lowered = true;
-              break;
-            }
-          }
-          // Wake only if WE published new information; a racing lowerer
-          // that beat us to <= refined already woke the neighborhood for
-          // its (stronger) value.
-          if (lowered) {
-            const std::uint32_t drop = k - refined;
-            std::uint32_t woken = 0;
-            // est[v] feeds the targeted filter and the bound bucket; a
-            // lifo run with the filter off needs neither load.
-            const bool need_neighbor_estimate =
-                targeted || sched == SchedPolicy::kBound;
-            for (const graph::NodeId v : g.neighbors(u)) {
-              const graph::NodeId ev =
-                  need_neighbor_estimate
-                      ? est[v].load(std::memory_order_acquire)
-                      : 0;
-              // §3.1.2 targeted wake, still safe under asynchrony: est[v]
-              // never rises, so est[v] <= refined stays true forever and
-              // v's computeIndex can never be lowered by this estimate.
-              if (targeted && ev <= refined) continue;
-              std::uint32_t bucket = 0;
-              switch (sched) {
-                case SchedPolicy::kLifo:
-                  break;
-                case SchedPolicy::kBound:
-                  bucket = bound_bucket(ev);
-                  break;
-                case SchedPolicy::kDelta:
-                  bucket = delta_bucket(
-                      delta[v].fetch_add(drop, std::memory_order_relaxed) +
-                      drop);
-                  break;
-              }
-              if (worklist.schedule(v, w, bucket)) ++woken;
-            }
-            if (metrics_on) {
-              octx->add(c_wakes, woken);
-              octx->observe(h_wake_fanout, woken);
-            }
-          }
-        }
-        // Retire AFTER the wakes: the detector counts our follow-on work
-        // before this unit stops being outstanding.
-        worklist.finish();
-      }
-      skipped_total.fetch_add(skipped, std::memory_order_relaxed);
-    } catch (...) {
-      {
-        const std::lock_guard<std::mutex> lock(error_mutex);
-        if (!first_error) first_error = std::current_exception();
-      }
-      abort.store(true, std::memory_order_relaxed);
-    }
-  };
 
   // The convergence sampler reads only concurrency-safe state: the
   // detector's outstanding counter, the pool's racy size estimate, and
@@ -331,14 +155,11 @@ AsyncResult run_bsp_async_prepared(const graph::Graph& g,
   }
 
   const auto run_start = Clock::now();
-  std::vector<std::thread> pool;
-  pool.reserve(workers - 1);
-  for (unsigned w = 1; w < workers; ++w) pool.emplace_back(worker_fn, w);
-  worker_fn(0);
-  for (auto& thread : pool) thread.join();
+  const RelaxOutcome outcome =
+      relax(g, context, options.targeted_send, recorder.get());
   const auto run_stop = Clock::now();
   if (recorder) recorder->stop_sampler();
-  if (first_error) std::rethrow_exception(first_error);
+  if (outcome.error) std::rethrow_exception(outcome.error);
 
   result.setup_ms =
       util::ms_between(setup_start, run_start);
@@ -350,8 +171,7 @@ AsyncResult run_bsp_async_prepared(const graph::Graph& g,
   result.stats.steals = worklist.total_steals();
   result.stats.re_enqueues = worklist.total_enqueues() - n;
   result.stats.detector_passes = worklist.detector().passes();
-  result.stats.skipped_recomputes =
-      skipped_total.load(std::memory_order_relaxed);
+  result.stats.skipped_recomputes = outcome.skipped_recomputes;
   result.stats.pop_scans = worklist.total_pop_scans();
 
   if (recorder) {

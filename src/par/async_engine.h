@@ -41,7 +41,8 @@
 // over the chk synchronization shim — so tests/test_async_runtime.cpp and
 // tests/test_priority_pool.cpp can hammer the protocol directly, without
 // a graph in the loop, and tests/test_chk.cpp can model-check it under
-// controlled schedules.
+// controlled schedules. The worker loop over it is par::relax()
+// (par/relax.h), which live::RepairEngine runs as well.
 #pragma once
 
 #include <atomic>
@@ -129,20 +130,23 @@ struct AsyncPrepared {
   std::vector<std::vector<std::uint32_t>> seeds;
 };
 
-/// Per-run mutable state, owned privately by one run at a time:
-///  * the shared atomic estimate table (reset to the degrees per run),
+/// Per-run mutable state, owned privately by one run at a time — what
+/// par::relax() (par/relax.h) works on:
+///  * the shared atomic estimate table (reset to the degrees per
+///    bsp-async run; live::RepairEngine keeps it warm between repairs),
 ///  * the per-vertex pending-change accumulators (sched=delta only),
 ///  * the worklist (flags + pool + detector), reset in place per run so
 ///    sequential reuse re-allocates nothing.
+/// Both tables start zeroed.
 struct AsyncRunContext {
-  AsyncRunContext(const AsyncPrepared& prepared, graph::NodeId n)
-      : est(n),
-        worklist(std::make_unique<AsyncWorklist>(n, prepared.workers,
-                                                 prepared.sched)) {
-    if (prepared.sched == core::SchedPolicy::kDelta) {
+  AsyncRunContext(graph::NodeId n, unsigned workers, core::SchedPolicy sched)
+      : est(n), worklist(std::make_unique<AsyncWorklist>(n, workers, sched)) {
+    if (sched == core::SchedPolicy::kDelta) {
       delta = std::vector<std::atomic<std::uint32_t>>(n);
     }
   }
+  AsyncRunContext(const AsyncPrepared& prepared, graph::NodeId n)
+      : AsyncRunContext(n, prepared.workers, prepared.sched) {}
 
   std::vector<std::atomic<graph::NodeId>> est;
   std::vector<std::atomic<std::uint32_t>> delta;

@@ -255,10 +255,9 @@ class BasicAsyncWorklist {
 using AsyncWorklist = BasicAsyncWorklist<>;
 
 // --- bucket maps ------------------------------------------------------------
-// The priority each scheduling policy seeds/wakes with, shared by every
-// worklist client (the batch engine in par/async_engine.cpp and the
-// incremental repair engine in live/repair.cpp) so the policies cannot
-// drift between the full and the incremental paths.
+// The priority each scheduling policy seeds/wakes with: the wakes in
+// par/relax.h, and the seeding in par/async_engine.cpp (from the degrees)
+// and live/repair.cpp (from the warm estimates).
 
 /// bound: clamp the estimate into the bitmap width — ascending pop order
 /// makes the lowest still-live estimate the peeling frontier.

@@ -47,8 +47,7 @@ BspParPrepared prepare_bsp_par(const graph::Graph& g,
   const graph::NodeId n = g.num_nodes();
   KCORE_CHECK_MSG(n > 0, "graph must be non-empty");
   BspParPrepared prepared;
-  prepared.workers = resolve_threads(options.threads);
-  if (prepared.workers > n) prepared.workers = n;
+  prepared.workers = resolve_workers(options.threads, n);
 
   // Vertex -> worker shard via the §3.2.2 policies; the kRandom policy's
   // seed is a pure stream split of the root seed, so re-running with a

@@ -35,12 +35,14 @@
 // happens-before edge between consecutive events.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <mutex>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "graph/graph.h"
 #include "par/mailbox.h"
 #include "par/round_loop.h"
 #include "sim/engine.h"
@@ -55,6 +57,13 @@ namespace kcore::par {
   if (requested > 0) return requested;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? hw : 1;
+}
+
+/// Worker count for a run over n vertices: resolve_threads, clamped to n
+/// (a worker with no vertex to own would only idle), and never below 1.
+[[nodiscard]] inline unsigned resolve_workers(unsigned requested,
+                                              graph::NodeId n) {
+  return std::max(1U, std::min<unsigned>(resolve_threads(requested), n));
 }
 
 struct EngineConfig {

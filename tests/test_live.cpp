@@ -29,7 +29,9 @@
 #include <cstdint>
 #include <sstream>
 #include <thread>
+#include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/dynamic.h"
@@ -40,6 +42,7 @@
 #include "live/repair.h"
 #include "live/update_log.h"
 #include "obs/options.h"
+#include "par/async_engine.h"
 #include "seq/kcore_seq.h"
 #include "util/rng.h"
 #include "util/storage.h"
@@ -586,6 +589,50 @@ TEST(LiveService, ProvisionalSnapshotsAreSoundUpperBounds) {
   if (service.metrics_enabled()) {
     EXPECT_EQ(service.metrics().value("live.provisional_publishes"),
               provisional_published);
+  }
+}
+
+// --- one relaxation loop -----------------------------------------------------
+
+TEST(RepairEngine, InitializeRunsTheBspAsyncLoop) {
+  // Both engines call par::relax(); at one worker the schedule is
+  // deterministic, so a full initialize() over a LiveGraph and a
+  // bsp-async run over the same Graph must agree on the table AND on
+  // every schedule counter, under each policy and wake filter.
+  const std::array<std::pair<const char*, Graph>, 4> graphs{{
+      {"ba", gen::barabasi_albert(3000, 4, 11)},
+      {"er", gen::erdos_renyi_gnm(3000, 12000, 12)},
+      {"grid", gen::grid(40, 50)},
+      {"ws", gen::watts_strogatz(3000, 6, 0.2, 13)},
+  }};
+  for (const auto& [name, g] : graphs) {
+    const LiveGraph live(g);
+    for (const SchedPolicy sched :
+         {SchedPolicy::kLifo, SchedPolicy::kBound, SchedPolicy::kDelta}) {
+      for (const bool targeted : {true, false}) {
+        SCOPED_TRACE(std::string(name) + " " +
+                     std::string(core::to_string(sched)) +
+                     (targeted ? " targeted" : " broadcast"));
+        RepairEngine engine(live, {1, sched, targeted});
+        const RepairStats repaired = engine.initialize();
+        std::vector<NodeId> coreness;
+        engine.copy_coreness(coreness);
+
+        core::RunOptions options;
+        options.threads = 1;
+        options.sched = sched;
+        options.targeted_send = targeted;
+        const par::AsyncResult batch = par::run_bsp_async(g, options);
+
+        EXPECT_EQ(coreness, batch.coreness);
+        EXPECT_EQ(repaired.relaxations, batch.stats.relaxations);
+        EXPECT_EQ(repaired.skipped_recomputes,
+                  batch.stats.skipped_recomputes);
+        EXPECT_EQ(repaired.pop_scans, batch.stats.pop_scans);
+        EXPECT_EQ(repaired.steals, batch.stats.steals);
+        EXPECT_EQ(repaired.detector_passes, batch.stats.detector_passes);
+      }
+    }
   }
 }
 
