@@ -5,10 +5,10 @@
 // arbitrary non-negative integers — they are remapped to a dense [0, n)
 // range on load (SNAP files routinely have gaps).
 //
-// Stream format (timestamped churn, consumed by core/dynamic and
-// src/live): one "t op u v" event per line, with t a non-decreasing
-// integer timestamp, op '+' (insert) or '-' (remove), and u/v DENSE node
-// ids into an already-loaded base graph. Same comment rules.
+// Stream format (timestamped churn, consumed by src/live): one "t op u v"
+// event per line, with t a non-decreasing integer timestamp, op '+'
+// (insert) or '-' (remove), and u/v DENSE node ids into an already-loaded
+// base graph. Same comment rules.
 #pragma once
 
 #include <cstdint>
@@ -51,9 +51,8 @@ enum class EdgeOp : std::uint8_t {
   kRemove,  // '-'
 };
 
-/// One churn event. The SAME type drives the synchronous maintenance
-/// protocol (core::DynamicKCore::apply_batch) and the async live service
-/// (live::Service::apply), so both paths replay identical streams.
+/// One churn event: the unit of live::Service::apply batches, the WAL
+/// records and the UpdateLog, so every path replays identical streams.
 struct EdgeUpdate {
   EdgeOp op = EdgeOp::kInsert;
   NodeId u = 0;

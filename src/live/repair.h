@@ -9,10 +9,12 @@
 // routine bsp-async runs: this engine only owns the warm
 // par::AsyncRunContext, the pending-set seeding and the k-order.
 //
-// Why warm-starting is exact (core/dynamic.h has the full argument):
-//  * a DELETION only lowers coreness, so the converged table is still a
-//    safe upper bound — re-activating the two endpoints and relaxing
-//    downward restores exactness (Theorem 2 applies verbatim);
+// Why warm-starting is exact:
+//  * a DELETION never grows a k-core, so no coreness rises and the
+//    converged table is still a safe upper bound. It still satisfies the
+//    locality equation everywhere except at the two endpoints, so
+//    relaxing downward from them (waking the neighbours of every node
+//    that drops) restores exactness (Theorem 2 applies verbatim);
 //  * an INSERTION is not relaxed at all. The engine keeps a k-order
 //    (live/korder.h, Zhang et al.'s OrderInsert): the insert updates
 //    deg+ of the earlier endpoint, usually stops there, and otherwise

@@ -317,10 +317,10 @@ ApplyResult Service::apply(std::span<const graph::EdgeUpdate> batch) {
                                                         batch.end())});
   }
 
-  // Net topology effect (same coalescing as DynamicKCore::apply_batch):
-  // the LAST op per edge decides; transient churn inside the batch is
-  // ignored. Out-of-range ids are rejected instead of KCORE_CHECK-ing —
-  // a service survives garbage input.
+  // Net topology effect: the LAST op per edge decides (the same final
+  // topology as applying the updates in order); transient churn inside
+  // the batch is ignored. Out-of-range ids are rejected instead of
+  // KCORE_CHECK-ing — a service survives garbage input.
   const NodeId n = graph_.num_nodes();
   std::map<std::pair<NodeId, NodeId>, bool> final_present;
   std::uint64_t valid = 0;

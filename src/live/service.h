@@ -40,8 +40,8 @@
 //    WAL still carries the data; a failed WAL append propagates as
 //    util::IoError BEFORE any mutation, leaving the service consistent.
 //
-// Update semantics per batch (identical to DynamicKCore::apply_batch, so
-// the simulator and async paths replay identical streams):
+// Update semantics per batch (the final topology equals applying every
+// update in order, so a sequential replay plus bz is the test oracle):
 //  * out-of-range node ids are REJECTED (counted, not applied — a live
 //    feed's garbage must not take the service down);
 //  * self-loops, duplicate inserts, absent removes and insert+remove

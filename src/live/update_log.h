@@ -2,9 +2,8 @@
 // updates grouped into batches, each batch the unit of one apply/repair/
 // publish cycle. Built either programmatically (append + seal) or from a
 // timestamped edge stream (graph::read_edge_stream + batch_by_window),
-// and consumed identically by the async path (live::Service::replay) and
-// the synchronous simulator path (core::DynamicKCore::apply_batch) — the
-// shared graph::EdgeUpdate type is what keeps the two replays identical.
+// and consumed by live::Service::replay (tests replay the same log through
+// a plain LiveGraph plus bz as the oracle).
 #pragma once
 
 #include <cstddef>

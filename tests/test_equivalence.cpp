@@ -1,17 +1,18 @@
 // Grand cross-algorithm equivalence: every implementation in the repo —
 // the two sequential baselines, the one-to-one protocol in both delivery
 // modes, the one-to-many protocol under several host counts, the BSP
-// (Pregel) port, and the dynamic maintenance structure — must produce the
-// identical decomposition on every dataset profile and every deterministic
-// family. This is the repo's strongest end-to-end safety net.
+// (Pregel) port, and the live service's initial convergence — must
+// produce the identical decomposition on every dataset profile and every
+// deterministic family. This is the repo's strongest end-to-end safety
+// net.
 #include <gtest/gtest.h>
 
-#include "core/dynamic.h"
 #include "core/one_to_many.h"
 #include "core/one_to_one.h"
 #include "core/pregel_kcore.h"
 #include "eval/datasets.h"
 #include "graph/generators.h"
+#include "live/service.h"
 #include "seq/kcore_seq.h"
 
 namespace kcore {
@@ -51,8 +52,10 @@ void expect_all_algorithms_agree(const Graph& g, const std::string& label) {
     ASSERT_EQ(result.coreness, truth) << label << ": bsp";
   }
   {
-    const core::DynamicKCore dyn(g);
-    ASSERT_EQ(dyn.coreness(), truth) << label << ": dynamic";
+    live::ServiceOptions options;
+    options.threads = 1;
+    const live::Service service(g, options);
+    ASSERT_EQ(service.query()->coreness, truth) << label << ": live";
   }
 }
 

@@ -3,9 +3,11 @@
 //    bit-identical to a from-scratch bz decomposition of the current
 //    topology, pinned across graph families × seeds × thread counts ×
 //    scheduling policies (100+ churn sequences);
-//  * stream parity — replaying one UpdateLog through live::Service and
-//    through core::DynamicKCore::apply_batch yields identical tables at
-//    every batch boundary (the shared EdgeUpdate type's whole point);
+//  * stream parity — replaying one UpdateLog through live::Service
+//    yields, at every batch boundary, the table and edge set of a
+//    sequential replay (each update applied in order to a plain
+//    LiveGraph, then decomposed from scratch by bz), whether the log
+//    arrives in batches or one update per batch;
 //  * snapshot consistency — concurrent readers only ever observe
 //    detector-confirmed quiescent epochs (exercised under TSan in CI);
 //  * degenerate updates — self-loops, duplicates, unknown nodes and
@@ -27,6 +29,7 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <span>
 #include <sstream>
 #include <thread>
 #include <string>
@@ -34,7 +37,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/dynamic.h"
 #include "graph/edge_list.h"
 #include "graph/generators.h"
 #include "live/ingest.h"
@@ -56,6 +58,18 @@ using graph::EdgeOp;
 using graph::EdgeUpdate;
 using graph::Graph;
 using graph::NodeId;
+
+// Sequential-replay oracle: apply the batch's updates one at a time, in
+// order, to a plain LiveGraph (the same final topology as the service's
+// "last op per edge wins"), then decompose it from scratch with bz.
+std::vector<NodeId> replay_oracle(LiveGraph& lg,
+                                  std::span<const EdgeUpdate> batch) {
+  const NodeId n = lg.num_nodes();
+  for (const EdgeUpdate& update : batch) {
+    if (update.u < n && update.v < n) lg.apply(update);
+  }
+  return seq::coreness_bz(lg.snapshot());
+}
 
 // --- building blocks --------------------------------------------------------
 
@@ -189,6 +203,27 @@ std::vector<EdgeUpdate> random_batch(util::Xoshiro256& rng, NodeId n,
   return batch;
 }
 
+// Like random_batch, but a removal cuts an edge the graph has now: a
+// random neighbour of a random node that has edges (a random pair is
+// almost never an edge, so removing one would be a free no-op).
+std::vector<EdgeUpdate> churn_batch(util::Xoshiro256& rng, const LiveGraph& lg,
+                                    int size) {
+  const NodeId n = lg.num_nodes();
+  std::vector<EdgeUpdate> batch;
+  for (int i = 0; i < size; ++i) {
+    auto u = static_cast<NodeId>(rng.next_below(n));
+    if (rng.next_bool(0.55) || lg.num_edges() == 0) {
+      batch.push_back(
+          {EdgeOp::kInsert, u, static_cast<NodeId>(rng.next_below(n))});
+      continue;
+    }
+    while (lg.degree(u) == 0) u = static_cast<NodeId>(rng.next_below(n));
+    const auto nbrs = lg.neighbors(u);
+    batch.push_back({EdgeOp::kRemove, u, nbrs[rng.next_below(nbrs.size())]});
+  }
+  return batch;
+}
+
 TEST_P(LiveChurn, ExactAfterEveryBatch) {
   const auto& [family, threads, sched] = GetParam();
   // 3 seeds × 10 batches per configuration; across the 36 instantiated
@@ -201,15 +236,19 @@ TEST_P(LiveChurn, ExactAfterEveryBatch) {
     options.sched = sched;
     Service service(g, options);
     util::Xoshiro256 rng(seed * 977 + threads);
+    int relaxing_batches = 0;
     for (int step = 0; step < 10; ++step) {
-      const auto batch = random_batch(rng, g.num_nodes(), 8);
-      service.apply(batch);
+      const auto batch = churn_batch(rng, service.graph(), 8);
+      if (service.apply(batch).repair.relaxations > 0) ++relaxing_batches;
       const auto truth = seq::coreness_bz(service.graph().snapshot());
       ASSERT_EQ(service.query()->coreness, truth)
           << family.name << " seed " << seed << " step " << step
           << " threads " << threads << " sched "
           << core::to_string(sched);
     }
+    // The removals must reach the relaxation, not just the inserts'
+    // k-order path (which relaxes nothing).
+    EXPECT_GE(relaxing_batches, 5) << family.name << " seed " << seed;
   }
 }
 
@@ -229,35 +268,69 @@ INSTANTIATE_TEST_SUITE_P(
              std::string(core::to_string(std::get<2>(info.param)));
     });
 
-// --- parity with the synchronous simulator path -----------------------------
+// --- parity with the sequential-replay oracle ------------------------------
 
-TEST(LiveService, ReplayMatchesDynamicKCoreOnTheSameLog) {
+TEST(LiveService, ReplayMatchesTheSequentialOracleOnTheSameLog) {
   const Graph g = gen::erdos_renyi_gnm(150, 380, 3);
   util::Xoshiro256 rng(41);
   UpdateLog log;
+  LiveGraph oracle(g);
+  std::vector<std::vector<NodeId>> expected;
+  std::vector<Graph> topology;
   for (int b = 0; b < 12; ++b) {
-    std::vector<EdgeUpdate> batch;
-    for (int i = 0; i < 10; ++i) {
-      const auto u = static_cast<NodeId>(rng.next_below(g.num_nodes()));
-      const auto v = static_cast<NodeId>(rng.next_below(g.num_nodes()));
-      batch.push_back(
-          {rng.next_bool(0.5) ? EdgeOp::kInsert : EdgeOp::kRemove, u, v});
-    }
+    auto batch = churn_batch(rng, oracle, 10);
+    expected.push_back(replay_oracle(oracle, batch));
+    topology.push_back(oracle.snapshot());
     log.append_batch(std::move(batch));
   }
 
   ServiceOptions options;
   options.threads = 2;
-  Service service(g, options);
-  core::DynamicKCore simulator(g);
+  Service batched(g, options);
+  Service per_update(g, options);  // the same updates, one per batch
   for (std::size_t b = 0; b < log.num_batches(); ++b) {
-    service.apply(log.batch(b));
-    simulator.apply_batch(log.batch(b));
-    ASSERT_EQ(service.query()->coreness, simulator.coreness())
-        << "batch " << b;
-    ASSERT_EQ(service.graph().num_edges(), simulator.num_edges())
+    batched.apply(log.batch(b));
+    for (const EdgeUpdate& update : log.batch(b)) {
+      per_update.apply(std::span<const EdgeUpdate>(&update, 1));
+    }
+    ASSERT_EQ(batched.query()->coreness, expected[b]) << "batch " << b;
+    ASSERT_EQ(per_update.query()->coreness, expected[b]) << "batch " << b;
+    ASSERT_TRUE(batched.graph().snapshot() == topology[b]) << "batch " << b;
+    ASSERT_TRUE(per_update.graph().snapshot() == topology[b])
         << "batch " << b;
   }
+}
+
+TEST(LiveService, BatchSemanticsOnSmallGraphs) {
+  // Last op per edge wins: remove, re-insert, remove leaves {0,1} gone.
+  Service clique(gen::clique(5));
+  clique.apply(std::vector<EdgeUpdate>{{EdgeOp::kRemove, 0, 1},
+                                       {EdgeOp::kInsert, 0, 1},
+                                       {EdgeOp::kRemove, 0, 1}});
+  EXPECT_FALSE(clique.graph().has_edge(0, 1));
+  EXPECT_EQ(clique.graph().num_edges(), 9U);
+  EXPECT_EQ(clique.query()->coreness, (std::vector<NodeId>(5, 3)));
+
+  // A mixed batch: three chords make {0,1,2,3} a K4 (a two-level rise)
+  // while a far edge of the cycle is cut.
+  Service cycle(gen::cycle(8));
+  cycle.apply(std::vector<EdgeUpdate>{{EdgeOp::kInsert, 0, 2},
+                                      {EdgeOp::kInsert, 1, 3},
+                                      {EdgeOp::kInsert, 0, 3},
+                                      {EdgeOp::kRemove, 5, 6}});
+  const auto& core = cycle.query()->coreness;
+  EXPECT_EQ(core, seq::coreness_bz(cycle.graph().snapshot()));
+  EXPECT_EQ(core[0], 3U);
+  EXPECT_EQ(core[5], 1U);
+
+  // An insert followed by a delete restores the table.
+  const Graph g = gen::erdos_renyi_gnm(100, 250, 7);
+  ASSERT_FALSE(g.has_edge(3, 97));
+  Service roundtrip(g);
+  const auto before = roundtrip.query()->coreness;
+  roundtrip.apply(std::vector<EdgeUpdate>{{EdgeOp::kInsert, 3, 97}});
+  roundtrip.apply(std::vector<EdgeUpdate>{{EdgeOp::kRemove, 3, 97}});
+  EXPECT_EQ(roundtrip.query()->coreness, before);
 }
 
 // --- snapshot consistency under concurrent readers --------------------------
@@ -281,14 +354,10 @@ TEST(LiveService, ConcurrentReadersOnlySeeQuiescentEpochs) {
     }
     log.append_batch(std::move(batch));
   }
-  std::vector<std::vector<NodeId>> expected;
-  {
-    core::DynamicKCore replica(g);
-    expected.push_back(replica.coreness());  // epoch 0
-    for (std::size_t b = 0; b < log.num_batches(); ++b) {
-      replica.apply_batch(log.batch(b));
-      expected.push_back(replica.coreness());
-    }
+  std::vector<std::vector<NodeId>> expected{seq::coreness_bz(g)};  // epoch 0
+  LiveGraph oracle(g);
+  for (std::size_t b = 0; b < log.num_batches(); ++b) {
+    expected.push_back(replay_oracle(oracle, log.batch(b)));
   }
 
   ServiceOptions options;
@@ -423,7 +492,8 @@ TEST(LiveIngest, BlockPolicyBackpressuresAndLosesNothing) {
   ServiceOptions options;
   options.threads = 1;
   Service service(g, options);
-  core::DynamicKCore replica(g);
+  LiveGraph oracle(g);
+  std::vector<NodeId> expected;
 
   IngestOptions ingest;
   ingest.queue_capacity = 2;  // far smaller than the burst below
@@ -434,7 +504,7 @@ TEST(LiveIngest, BlockPolicyBackpressuresAndLosesNothing) {
     util::Xoshiro256 rng(29);
     for (int b = 0; b < kBatches; ++b) {
       auto batch = random_batch(rng, g.num_nodes(), 6);
-      replica.apply_batch(batch);
+      expected = replay_oracle(oracle, batch);
       // Backpressure means submit() may wait, but it NEVER fails.
       ASSERT_TRUE(ingestor.submit(std::move(batch))) << "batch " << b;
     }
@@ -453,7 +523,7 @@ TEST(LiveIngest, BlockPolicyBackpressuresAndLosesNothing) {
     }
   }
   EXPECT_EQ(service.query()->epoch, static_cast<std::uint64_t>(kBatches));
-  EXPECT_EQ(service.query()->coreness, replica.coreness());
+  EXPECT_EQ(service.query()->coreness, expected);
 }
 
 TEST(LiveIngest, RejectPolicyShedsLoadVisiblyNeverSilently) {
@@ -523,14 +593,10 @@ TEST(LiveService, ProvisionalSnapshotsAreSoundUpperBounds) {
     log.append_batch(std::move(batch));
   }
   // The exact table every epoch promises, computed offline.
-  std::vector<std::vector<NodeId>> expected;
-  {
-    core::DynamicKCore replica(g);
-    expected.push_back(replica.coreness());
-    for (std::size_t b = 0; b < log.num_batches(); ++b) {
-      replica.apply_batch(log.batch(b));
-      expected.push_back(replica.coreness());
-    }
+  std::vector<std::vector<NodeId>> expected{seq::coreness_bz(g)};
+  LiveGraph oracle(g);
+  for (std::size_t b = 0; b < log.num_batches(); ++b) {
+    expected.push_back(replay_oracle(oracle, log.batch(b)));
   }
 
   ServiceOptions options;

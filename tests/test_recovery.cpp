@@ -23,9 +23,9 @@
 #include <string>
 #include <vector>
 
-#include "core/dynamic.h"
 #include "graph/edge_list.h"
 #include "graph/generators.h"
+#include "live/live_graph.h"
 #include "live/service.h"
 #include "live/update_log.h"
 #include "live/wal.h"
@@ -82,12 +82,15 @@ Trace make_trace(int kind, std::uint64_t seed) {
   return trace;
 }
 
+// Sequential-replay oracle: every update in order on a plain LiveGraph
+// (the same final topology as the service's "last op per edge wins"),
+// then a from-scratch bz decomposition.
 std::vector<NodeId> expected_final_coreness(const Trace& trace) {
-  core::DynamicKCore replica(trace.base);
+  LiveGraph lg(trace.base);
   for (std::size_t b = 0; b < trace.log.num_batches(); ++b) {
-    replica.apply_batch(trace.log.batch(b));
+    for (const EdgeUpdate& update : trace.log.batch(b)) lg.apply(update);
   }
-  return replica.coreness();
+  return seq::coreness_bz(lg.snapshot());
 }
 
 ServiceOptions fast_options() {
