@@ -6,22 +6,6 @@
 
 namespace kcore::api {
 
-namespace {
-
-/// A non-negative integer flag, bounds-checked BEFORE the unsigned cast —
-/// `--hosts -1` must die with a message naming the flag, not wrap to 4e9
-/// and fail deep inside a protocol runner.
-std::int64_t get_checked(const util::Args& args, const char* name,
-                         std::int64_t fallback, std::int64_t max) {
-  const std::int64_t value = args.get_int(name, fallback);
-  KCORE_CHECK_MSG(value >= 0 && value <= max,
-                  "--" << name << " must be in [0, " << max << "], got "
-                       << value);
-  return value;
-}
-
-}  // namespace
-
 core::RunOptions run_options_from_args(const util::Args& args,
                                        const core::RunOptions& defaults) {
   core::RunOptions options = defaults;
@@ -33,16 +17,15 @@ core::RunOptions run_options_from_args(const util::Args& args,
     options.mode = *parsed;
   }
   constexpr auto kMaxI64 = std::numeric_limits<std::int64_t>::max();
-  options.seed = static_cast<std::uint64_t>(get_checked(
-      args, "seed", static_cast<std::int64_t>(defaults.seed), kMaxI64));
-  options.max_rounds = static_cast<std::uint64_t>(
-      get_checked(args, "max-rounds",
-                  static_cast<std::int64_t>(defaults.max_rounds), kMaxI64));
-  options.num_hosts = static_cast<sim::HostId>(get_checked(
-      args, "hosts", static_cast<std::int64_t>(defaults.num_hosts),
+  options.seed = static_cast<std::uint64_t>(args.get_checked(
+      "seed", static_cast<std::int64_t>(defaults.seed), kMaxI64));
+  options.max_rounds = static_cast<std::uint64_t>(args.get_checked(
+      "max-rounds", static_cast<std::int64_t>(defaults.max_rounds), kMaxI64));
+  options.num_hosts = static_cast<sim::HostId>(args.get_checked(
+      "hosts", static_cast<std::int64_t>(defaults.num_hosts),
       std::numeric_limits<sim::HostId>::max()));
-  options.threads = static_cast<unsigned>(get_checked(
-      args, "threads", static_cast<std::int64_t>(defaults.threads), 4096));
+  options.threads = static_cast<unsigned>(args.get_checked(
+      "threads", static_cast<std::int64_t>(defaults.threads), 4096));
   if (const auto assignment = args.get("assignment")) {
     const auto parsed = core::parse_assignment_policy(*assignment);
     KCORE_CHECK_MSG(parsed.has_value(),
@@ -66,8 +49,8 @@ core::RunOptions run_options_from_args(const util::Args& args,
                                << "accepted: broadcast, point-to-point");
     options.comm = *parsed;
   }
-  options.faults.max_extra_delay = static_cast<std::uint32_t>(get_checked(
-      args, "max-extra-delay",
+  options.faults.max_extra_delay = static_cast<std::uint32_t>(args.get_checked(
+      "max-extra-delay",
       static_cast<std::int64_t>(defaults.faults.max_extra_delay),
       std::numeric_limits<std::uint32_t>::max()));
   options.faults.duplicate_probability =
@@ -79,8 +62,8 @@ core::RunOptions run_options_from_args(const util::Args& args,
   if (args.has("metrics")) options.obs.metrics = true;
   options.obs.sample_period_ms =
       args.get_double("sample-period", defaults.obs.sample_period_ms);
-  options.obs.trace_capacity = static_cast<std::uint32_t>(get_checked(
-      args, "trace-capacity",
+  options.obs.trace_capacity = static_cast<std::uint32_t>(args.get_checked(
+      "trace-capacity",
       static_cast<std::int64_t>(defaults.obs.trace_capacity),
       std::numeric_limits<std::uint32_t>::max()));
   return options;

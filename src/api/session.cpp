@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <atomic>
 #include <cstddef>
-#include <exception>
 #include <mutex>
-#include <thread>
+#include <stop_token>
 #include <utility>
 
+#include "par/fork_join.h"
 #include "util/check.h"
 #include "util/clock.h"
 
@@ -224,10 +224,9 @@ std::vector<PlanCellResult> Plan::run(
   std::vector<PlanCellResult> results(all.size());
   const std::size_t workers = std::max<std::size_t>(
       1, std::min<std::size_t>(spec_.concurrency, all.size()));
-  // With more than one worker the user's hooks run under one mutex —
-  // cells are independent Sessions, but the hooks see a single
-  // interleaved stream, same as in the serial case.
-  const bool serialize_hooks = workers > 1;
+  // The user's hooks run under one mutex: cells are independent
+  // Sessions, but the hooks see a single interleaved stream, same as in
+  // the serial case.
   std::mutex hook_mutex;
 
   auto run_cell = [&](std::size_t index) {
@@ -243,21 +242,13 @@ std::vector<PlanCellResult> Plan::run(
     for (int repeat = 0; repeat < spec_.repeats; ++repeat) {
       ProgressObserver observer;
       if (observer_factory) {
-        if (serialize_hooks) {
-          std::lock_guard<std::mutex> lock(hook_mutex);
-          observer = observer_factory(cell, repeat);
-        } else {
-          observer = observer_factory(cell, repeat);
-        }
+        const std::lock_guard<std::mutex> lock(hook_mutex);
+        observer = observer_factory(cell, repeat);
       }
       DecomposeReport report = session.run(observer);
       if (on_report) {
-        if (serialize_hooks) {
-          std::lock_guard<std::mutex> lock(hook_mutex);
-          on_report(cell, repeat, report);
-        } else {
-          on_report(cell, repeat, report);
-        }
+        const std::lock_guard<std::mutex> lock(hook_mutex);
+        on_report(cell, repeat, report);
       }
       wall.push_back(report.elapsed_ms);
       if (repeat == 0) {
@@ -282,39 +273,21 @@ std::vector<PlanCellResult> Plan::run(
     results[index] = std::move(result);
   };
 
-  if (workers == 1) {
-    for (std::size_t index = 0; index < all.size(); ++index) run_cell(index);
-    return results;
-  }
-
-  // Work-stealing by atomic index: each thread claims the next
-  // unclaimed cell. Results land at their cell's slot, so the returned
-  // order matches cells() regardless of completion order. The first
-  // exception wins; it parks the claim index past the end so the other
-  // workers drain, then rethrows on the caller's thread.
+  // Work-stealing by atomic index: each worker (the caller is worker 0)
+  // claims the next unclaimed cell. Results land at their cell's slot, so
+  // the returned order matches cells() regardless of completion order. A
+  // failed cell stops the other workers' claims, and fork_join rethrows
+  // its exception here once they have drained.
   std::atomic<std::size_t> next{0};
-  std::mutex error_mutex;
-  std::exception_ptr first_error;
-  std::vector<std::thread> pool;
-  pool.reserve(workers);
-  for (std::size_t w = 0; w < workers; ++w) {
-    pool.emplace_back([&] {
-      for (;;) {
-        const std::size_t index = next.fetch_add(1, std::memory_order_relaxed);
-        if (index >= all.size()) return;
-        try {
-          run_cell(index);
-        } catch (...) {
-          std::lock_guard<std::mutex> lock(error_mutex);
-          if (!first_error) first_error = std::current_exception();
-          next.store(all.size(), std::memory_order_relaxed);
-          return;
-        }
-      }
-    });
-  }
-  for (auto& thread : pool) thread.join();
-  if (first_error) std::rethrow_exception(first_error);
+  par::fork_join(static_cast<unsigned>(workers),
+                 [&](unsigned, const std::stop_token& stop) {
+                   while (!stop.stop_requested()) {
+                     const std::size_t index =
+                         next.fetch_add(1, std::memory_order_relaxed);
+                     if (index >= all.size()) return;
+                     run_cell(index);
+                   }
+                 });
   return results;
 }
 

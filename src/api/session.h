@@ -155,8 +155,9 @@ struct PlanSpec {
   /// run() calls per cell (>= 1). The first pays prepare; the rest are
   /// warm.
   int repeats = 1;
-  /// Cells executed concurrently (>= 1; 1 = the serial loop). Cells are
-  /// independent Sessions over the one shared graph, so any value is
+  /// Cells executed concurrently (>= 1; 1 = the serial loop; the caller
+  /// is one of the workers, par/fork_join.h). Cells are independent
+  /// Sessions over the one shared graph, so any value is
   /// result-equivalent to 1 — but per-cell wall times then include
   /// cross-cell interference, so keep 1 when the cells themselves are
   /// the timing experiment. Hooks and observer factories are serialized

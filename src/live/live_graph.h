@@ -6,8 +6,8 @@
 // par/relax.h loop, called from live/repair.cpp) read neighbors()
 // concurrently with EACH OTHER but never concurrently with apply() — the
 // service's apply cycle is strictly "mutate topology, then run repair
-// workers, then publish", and the writer's spawn/join of those workers
-// gives the needed happens-before edges.
+// workers, then publish", and par::fork_join's start/join of those
+// workers gives the needed happens-before edges.
 // Snapshot readers never touch this structure at all (they read the
 // published immutable live::Snapshot).
 #pragma once

@@ -1,7 +1,5 @@
 #include "live/repair.h"
 
-#include <exception>
-
 #include "par/engine.h"
 #include "par/relax.h"
 #include "util/clock.h"
@@ -113,11 +111,14 @@ RepairStats RepairEngine::repair() {
   stats.seeded = pending_.size();
   pending_.clear();
 
-  const par::RelaxOutcome outcome =
-      par::relax(graph_, ctx_, options_.targeted_send, nullptr);
-  // Any drop invalidates the order, and so does a run cut short.
-  if (outcome.error || outcome.lowered) order_.clear();
-  if (outcome.error) std::rethrow_exception(outcome.error);
+  par::RelaxOutcome outcome;
+  try {
+    outcome = par::relax(graph_, ctx_, options_.targeted_send, nullptr);
+  } catch (...) {
+    order_.clear();  // a run cut short leaves the table half-relaxed
+    throw;
+  }
+  if (outcome.lowered) order_.clear();  // any drop invalidates the order
 
   stats.relaxations = worklist.total_enqueues();
   stats.steals = worklist.total_steals();

@@ -30,9 +30,10 @@
 // Thread contract: initialize(), note_insert(), note_remove() and
 // repair() are called by ONE writer thread, with every note_insert() of
 // a batch before its first note_remove(); repair() runs par::relax(),
-// which spawns and joins the worker pool, so the estimate table is never
-// mutated concurrently with the notes. Readers of the published coreness
-// never touch this class (live::Service hands them immutable snapshots).
+// which forks and joins its workers (par/fork_join.h), so the estimate
+// table is never mutated concurrently with the notes. Readers of the
+// published coreness never touch this class (live::Service hands them
+// immutable snapshots).
 #pragma once
 
 #include <atomic>
@@ -104,6 +105,10 @@ class RepairEngine {
   /// and clears the pending set. Runs no workers when nothing is
   /// pending.
   RepairStats repair();
+
+  /// True iff the next repair() has relaxation to run: a note_remove()
+  /// since the last one (insertions mark nothing pending).
+  [[nodiscard]] bool has_pending() const noexcept { return !pending_.empty(); }
 
   [[nodiscard]] unsigned workers() const noexcept {
     return ctx_.worklist->workers();

@@ -1,12 +1,11 @@
 #include "live/service.h"
 
 #include <algorithm>
-#include <chrono>
 #include <map>
-#include <thread>
 #include <utility>
 
 #include "obs/options.h"
+#include "util/ticker.h"
 
 namespace kcore::live {
 
@@ -271,36 +270,21 @@ void Service::publish_provisional() {
 RepairStats Service::repair_with_watchdog(
     std::uint64_t& provisional_publishes) {
   provisional_publishes = 0;
-  if (options_.provisional_deadline_ms == 0) return engine_.repair();
-
-  repair_done_ = false;
-  std::uint64_t published = 0;
-  std::thread watchdog([this, &published] {
-    const auto deadline =
-        std::chrono::milliseconds(options_.provisional_deadline_ms);
-    std::unique_lock<std::mutex> lock(watchdog_mutex_);
-    while (!repair_done_) {
-      if (watchdog_cv_.wait_for(lock, deadline,
-                                [this] { return repair_done_; })) {
-        break;
-      }
-      // Still repairing past the deadline: push a provisional snapshot.
-      // Holding watchdog_mutex_ here means the writer cannot set
-      // repair_done_ (let alone publish the final epoch) while a
-      // provisional publish is in flight — the final publish always
-      // lands last.
-      publish_provisional();
-      ++published;
-    }
-  });
-  RepairStats stats = engine_.repair();
-  {
-    const std::lock_guard<std::mutex> lock(watchdog_mutex_);
-    repair_done_ = true;
+  if (options_.provisional_deadline_ms == 0 || !engine_.has_pending()) {
+    return engine_.repair();
   }
-  watchdog_cv_.notify_one();
-  watchdog.join();
-  provisional_publishes = published;
+  // Still repairing past each deadline: push a provisional snapshot. The
+  // tick runs under the Ticker's mutex and stop() waits it out, so the
+  // final publish, after stop(), always lands last. If repair() throws,
+  // the Ticker's destructor joins it.
+  util::Ticker watchdog(static_cast<double>(options_.provisional_deadline_ms),
+                        [this, &provisional_publishes] {
+                          publish_provisional();
+                          ++provisional_publishes;
+                        });
+  watchdog.start();
+  RepairStats stats = engine_.repair();
+  watchdog.stop();
   return stats;
 }
 

@@ -70,7 +70,6 @@
 //   live.overload_rejects      batches a bounded ingest queue turned away
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -227,9 +226,9 @@ class Service {
           const DurabilityOptions& durability);
 
   // Registry lanes: every slot is single-writer (obs::Registry::add is a
-  // plain load+store). Writer thread owns 0; the (one-at-a-time,
-  // spawn/joined) watchdog owns 1; ingest producers own 2, serialized by
-  // the Ingestor's queue mutex.
+  // plain load+store). Writer thread owns 0; the watchdog — a
+  // util::Ticker scoped to one repair, so at most one runs — owns 1;
+  // ingest producers own 2, serialized by the Ingestor's queue mutex.
   static constexpr unsigned kWriterSlot = 0;
   static constexpr unsigned kWatchdogSlot = 1;
   static constexpr unsigned kIngressSlot = 2;
@@ -239,8 +238,9 @@ class Service {
   /// Watchdog body: publish the current (mid-repair) estimate table as a
   /// provisional snapshot for the pending epoch.
   void publish_provisional();
-  /// Run engine_.repair() under the provisional watchdog; returns the
-  /// stats and fills `provisional_publishes`.
+  /// Run engine_.repair() under the provisional watchdog (started only
+  /// when the apply left relaxation pending); returns the stats and
+  /// fills `provisional_publishes`.
   RepairStats repair_with_watchdog(std::uint64_t& provisional_publishes);
   /// Current topology as a canonical sorted edge list (u < v).
   [[nodiscard]] std::vector<graph::Edge> collect_edges() const;
@@ -262,11 +262,6 @@ class Service {
   std::optional<Wal> wal_;
   std::uint64_t batches_since_checkpoint_ = 0;
   bool replaying_ = false;  // recovery replay: no re-append, no checkpoints
-
-  // Watchdog handshake (writer spawns/joins one watchdog per apply)
-  std::mutex watchdog_mutex_;
-  std::condition_variable watchdog_cv_;
-  bool repair_done_ = false;  // guarded by watchdog_mutex_
 
   // live.* telemetry (lanes: see slot constants above)
   std::unique_ptr<obs::Registry> registry_;

@@ -11,19 +11,20 @@
 // Fig. 4 error-evolution curves WITHOUT the per-round observer that the
 // barrier-free engine cannot drive.
 //
-// Timing contract: the first sample is taken one full period after
-// start() — a run that finishes first records zero samples (pinned by
-// tests). stop() never takes a farewell sample; sample times are
-// measured from start().
+// The thread is a util::Ticker (util/ticker.h), whose timing contract
+// this inherits: the first sample is taken one full period after start()
+// — a run that finishes first records zero samples (pinned by tests) —
+// a slow probe skips the samples it overran, and stop() never takes a
+// farewell sample. Sample times are measured from start().
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <mutex>
-#include <thread>
 #include <utility>
 #include <vector>
+
+#include "util/clock.h"
+#include "util/ticker.h"
 
 namespace kcore::obs {
 
@@ -44,32 +45,33 @@ class Sampler {
   using Probe = std::function<void(Sample&)>;
 
   Sampler(double period_ms, Probe probe)
-      : period_ms_(period_ms), probe_(std::move(probe)) {}
-  ~Sampler() { stop(); }
+      : probe_(std::move(probe)), ticker_(period_ms, [this] {
+          Sample s;
+          s.t_ms = util::ms_between(start_, util::SteadyClock::now());
+          probe_(s);
+          samples_.push_back(s);
+        }) {}
 
-  Sampler(const Sampler&) = delete;
-  Sampler& operator=(const Sampler&) = delete;
+  /// Launch the sampler thread; pair each call with a stop(). No-op when
+  /// period_ms <= 0.
+  void start() {
+    start_ = util::SteadyClock::now();
+    ticker_.start();
+  }
 
-  /// Launch the sampler thread. No-op when period_ms <= 0.
-  void start();
-
-  /// Signal, join, and retire the thread. Idempotent.
-  void stop();
+  /// Signal, join, and retire the thread; rethrows a probe's exception.
+  /// Idempotent.
+  void stop() { ticker_.stop(); }
 
   /// The collected series; call after stop().
   [[nodiscard]] const std::vector<Sample>& samples() const { return samples_; }
   [[nodiscard]] std::vector<Sample> take() { return std::move(samples_); }
 
  private:
-  void loop();
-
-  double period_ms_;
   Probe probe_;
   std::vector<Sample> samples_;
-  std::thread thread_;
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  bool stop_requested_ = false;
+  util::SteadyClock::time_point start_;
+  util::Ticker ticker_;  // last: stopped before the members its tick uses
 };
 
 }  // namespace kcore::obs

@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <exception>
 #include <memory>
 #include <vector>
 
@@ -159,7 +158,6 @@ AsyncResult run_bsp_async_prepared(const graph::Graph& g,
       relax(g, context, options.targeted_send, recorder.get());
   const auto run_stop = Clock::now();
   if (recorder) recorder->stop_sampler();
-  if (outcome.error) std::rethrow_exception(outcome.error);
 
   result.setup_ms =
       util::ms_between(setup_start, run_start);

@@ -8,21 +8,24 @@
 //    the perturbed endpoints seeded.
 //
 // The caller resets and seeds the context (estimate table, delta
-// accumulators, worklist); relax() spawns the pool, runs the protocol of
+// accumulators, worklist); relax() forks the workers through
+// par::fork_join (par/fork_join.h), runs the protocol of
 // par/async_engine.h's block comment to detector-confirmed quiescence and
 // joins. Templated on the graph view so par never depends on live: any
 // type with neighbors(u) -> std::span<const NodeId> works (graph::Graph,
-// live::LiveGraph). The view must not change during the call; the spawn
-// and join are the happens-before edges with the caller's writes.
+// live::LiveGraph). The view must not change during the call; fork_join's
+// thread start and join are the happens-before edges with the caller's
+// writes. A worker's exception stops the others (fork_join's stop token)
+// and is rethrown to the caller, leaving the table a half-relaxed upper
+// bound.
 #pragma once
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <exception>
-#include <mutex>
 #include <span>
+#include <stop_token>
 #include <thread>
 #include <vector>
 
@@ -32,6 +35,7 @@
 #include "obs/obs.h"
 #include "par/async_engine.h"
 #include "par/async_worklist.h"
+#include "par/fork_join.h"
 
 namespace kcore::par {
 
@@ -41,9 +45,6 @@ struct [[nodiscard]] RelaxOutcome {
   std::uint64_t skipped_recomputes = 0;
   /// True iff some worker lowered an estimate.
   bool lowered = false;
-  /// The first exception a worker threw (the others were then stopped),
-  /// captured for the caller to rethrow after its own cleanup.
-  std::exception_ptr error;
 };
 
 /// Relax `context` over `g` to quiescence with `context.worklist`'s
@@ -62,11 +63,8 @@ RelaxOutcome relax(const GraphView& g, AsyncRunContext& context,
   const unsigned workers = worklist.workers();
   const SchedPolicy sched = worklist.policy();
 
-  RelaxOutcome outcome;
-  std::atomic<bool> abort{false};
   std::atomic<bool> lowered_some{false};
   std::atomic<std::uint64_t> skipped_total{0};
-  std::mutex error_mutex;
 
   // Telemetry (obs/obs.h): every hot-path hook below is an OBS_* macro
   // (empty when compiled out) or a branch on a condition that
@@ -85,158 +83,141 @@ RelaxOutcome relax(const GraphView& g, AsyncRunContext& context,
     h_wake_fanout = reg.histogram("async.wake_fanout");
   }
 
-  auto worker_fn = [&](unsigned w) {
-    try {
-      core::IndexScratch scratch;
-      obs::WorkerContext* const octx =
-          recorder ? recorder->worker(w) : nullptr;
-      // obs::kEnabled folds the whole metrics path away at compile time
-      // when the telemetry layer is off.
-      const bool metrics_on =
-          obs::kEnabled && octx != nullptr && octx->metrics();
-      std::uint64_t prev_scans = 0;
-      std::uint64_t skipped = 0;
-      bool lowered_any = false;
-      unsigned idle_sweeps = 0;
-      while (!worklist.done() && !abort.load(std::memory_order_relaxed)) {
-        const std::uint32_t u = worklist.acquire(w);
-        if (u == AsyncWorklist::kNone) {
-          // Nothing runnable HERE is not termination: another worker may
-          // still be relaxing (its wakes will repopulate the lanes).
-          // Only the detector's confirmed zero ends the run.
-          if (worklist.try_confirm()) {
-            OBS_INSTANT(octx, "quiescence.confirmed");
+  fork_join(workers, [&](unsigned w, const std::stop_token& stop) {
+    core::IndexScratch scratch;
+    obs::WorkerContext* const octx = recorder ? recorder->worker(w) : nullptr;
+    // obs::kEnabled folds the whole metrics path away at compile time
+    // when the telemetry layer is off.
+    const bool metrics_on = obs::kEnabled && octx != nullptr && octx->metrics();
+    std::uint64_t prev_scans = 0;
+    std::uint64_t skipped = 0;
+    bool lowered_any = false;
+    unsigned idle_sweeps = 0;
+    while (!worklist.done() && !stop.stop_requested()) {
+      const std::uint32_t u = worklist.acquire(w);
+      if (u == AsyncWorklist::kNone) {
+        // Nothing runnable HERE is not termination: another worker may
+        // still be relaxing (its wakes will repopulate the lanes).
+        // Only the detector's confirmed zero ends the run.
+        if (worklist.try_confirm()) {
+          OBS_INSTANT(octx, "quiescence.confirmed");
+          break;
+        }
+        // Back off while dry: a long sequential dependency chain can
+        // idle most of the pool, and a tight retry loop would ping-pong
+        // the detector counter's cache line against the one worker
+        // whose add/finish RMWs are the critical path.
+        if (++idle_sweeps < 64) {
+          std::this_thread::yield();
+        } else {
+          std::this_thread::sleep_for(std::chrono::microseconds(50));
+        }
+        continue;
+      }
+      idle_sweeps = 0;
+      if (metrics_on) {
+        // Probes accumulated since the previous successful acquire —
+        // this acquire's bucket scan plus any dry sweeps in between.
+        const std::uint64_t scans = worklist.tally(w).pop_scans;
+        octx->observe(h_scan_len, scans - prev_scans);
+        prev_scans = scans;
+      }
+      // Spans the whole relaxation of u (through the wakes and the
+      // finish below — the destructor fires at the end of the
+      // iteration); also feeds the latency histogram, in ns.
+      OBS_SPAN(octx, "relax", h_relax_ns);
+      worklist.begin(u);  // clear-before-read: the wakeup handshake
+      if (sched == SchedPolicy::kDelta) {
+        // Consume the pending-change accumulator: priority restarts
+        // from zero for the NEXT activation of u (hint only — a racing
+        // accumulate merely inflates a later priority).
+        delta[u].store(0, std::memory_order_relaxed);
+      }
+      const NodeId stored = est[u].load(std::memory_order_acquire);
+      const std::span<const NodeId> nbrs = g.neighbors(u);
+      // Deletions can leave a warm estimate ABOVE the live degree — the
+      // one place the invariant behind refine()'s skip-scan ("k never
+      // exceeds the degree") breaks. coreness <= degree always, so the
+      // clamp is still a safe upper bound; on a static graph it is a
+      // no-op (estimates start at the degree and only fall).
+      const NodeId k =
+          std::min<NodeId>(stored, static_cast<NodeId>(nbrs.size()));
+      // Skip-scan + allocation-free streamed count, shared with
+      // bsp-par (core::IndexScratch::refine): the estimates stream
+      // straight from the shared table into the epoch-stamped kernel.
+      bool fast_path = false;
+      const NodeId refined = scratch.refine(
+          nbrs.size(), k,
+          [&](std::size_t i) {
+            return est[nbrs[i]].load(std::memory_order_acquire);
+          },
+          fast_path);
+      if (fast_path) {
+        ++skipped;
+        OBS_COUNT(octx, c_skipped, 1);
+      }
+      if (refined < stored) {
+        // Publish via CAS-min: est only decreases, and a concurrent
+        // relaxation of u may already have gone lower.
+        NodeId cur = est[u].load(std::memory_order_relaxed);
+        bool lowered = false;
+        while (cur > refined) {
+          if (est[u].compare_exchange_weak(cur, refined,
+                                           std::memory_order_acq_rel,
+                                           std::memory_order_relaxed)) {
+            lowered = true;
             break;
           }
-          // Back off while dry: a long sequential dependency chain can
-          // idle most of the pool, and a tight retry loop would ping-pong
-          // the detector counter's cache line against the one worker
-          // whose add/finish RMWs are the critical path.
-          if (++idle_sweeps < 64) {
-            std::this_thread::yield();
-          } else {
-            std::this_thread::sleep_for(std::chrono::microseconds(50));
+        }
+        // Wake only if WE published new information; a racing lowerer
+        // that beat us to <= refined already woke the neighborhood for
+        // its (stronger) value.
+        if (lowered) {
+          lowered_any = true;
+          const std::uint32_t drop = stored - refined;
+          std::uint32_t woken = 0;
+          // est[v] feeds the targeted filter and the bound bucket; a
+          // lifo run with the filter off needs neither load.
+          const bool need_neighbor_estimate =
+              targeted || sched == SchedPolicy::kBound;
+          for (const NodeId v : nbrs) {
+            const NodeId ev = need_neighbor_estimate
+                                  ? est[v].load(std::memory_order_acquire)
+                                  : 0;
+            // §3.1.2 targeted wake, still safe under asynchrony: est[v]
+            // never rises, so est[v] <= refined stays true forever and
+            // v's computeIndex can never be lowered by this estimate.
+            if (targeted && ev <= refined) continue;
+            std::uint32_t bucket = 0;
+            switch (sched) {
+              case SchedPolicy::kLifo:
+                break;
+              case SchedPolicy::kBound:
+                bucket = bound_bucket(ev);
+                break;
+              case SchedPolicy::kDelta:
+                bucket = delta_bucket(
+                    delta[v].fetch_add(drop, std::memory_order_relaxed) +
+                    drop);
+                break;
+            }
+            if (worklist.schedule(v, w, bucket)) ++woken;
           }
-          continue;
-        }
-        idle_sweeps = 0;
-        if (metrics_on) {
-          // Probes accumulated since the previous successful acquire —
-          // this acquire's bucket scan plus any dry sweeps in between.
-          const std::uint64_t scans = worklist.tally(w).pop_scans;
-          octx->observe(h_scan_len, scans - prev_scans);
-          prev_scans = scans;
-        }
-        // Spans the whole relaxation of u (through the wakes and the
-        // finish below — the destructor fires at the end of the
-        // iteration); also feeds the latency histogram, in ns.
-        OBS_SPAN(octx, "relax", h_relax_ns);
-        worklist.begin(u);  // clear-before-read: the wakeup handshake
-        if (sched == SchedPolicy::kDelta) {
-          // Consume the pending-change accumulator: priority restarts
-          // from zero for the NEXT activation of u (hint only — a racing
-          // accumulate merely inflates a later priority).
-          delta[u].store(0, std::memory_order_relaxed);
-        }
-        const NodeId stored = est[u].load(std::memory_order_acquire);
-        const std::span<const NodeId> nbrs = g.neighbors(u);
-        // Deletions can leave a warm estimate ABOVE the live degree — the
-        // one place the invariant behind refine()'s skip-scan ("k never
-        // exceeds the degree") breaks. coreness <= degree always, so the
-        // clamp is still a safe upper bound; on a static graph it is a
-        // no-op (estimates start at the degree and only fall).
-        const NodeId k =
-            std::min<NodeId>(stored, static_cast<NodeId>(nbrs.size()));
-        // Skip-scan + allocation-free streamed count, shared with
-        // bsp-par (core::IndexScratch::refine): the estimates stream
-        // straight from the shared table into the epoch-stamped kernel.
-        bool fast_path = false;
-        const NodeId refined = scratch.refine(
-            nbrs.size(), k,
-            [&](std::size_t i) {
-              return est[nbrs[i]].load(std::memory_order_acquire);
-            },
-            fast_path);
-        if (fast_path) {
-          ++skipped;
-          OBS_COUNT(octx, c_skipped, 1);
-        }
-        if (refined < stored) {
-          // Publish via CAS-min: est only decreases, and a concurrent
-          // relaxation of u may already have gone lower.
-          NodeId cur = est[u].load(std::memory_order_relaxed);
-          bool lowered = false;
-          while (cur > refined) {
-            if (est[u].compare_exchange_weak(cur, refined,
-                                             std::memory_order_acq_rel,
-                                             std::memory_order_relaxed)) {
-              lowered = true;
-              break;
-            }
-          }
-          // Wake only if WE published new information; a racing lowerer
-          // that beat us to <= refined already woke the neighborhood for
-          // its (stronger) value.
-          if (lowered) {
-            lowered_any = true;
-            const std::uint32_t drop = stored - refined;
-            std::uint32_t woken = 0;
-            // est[v] feeds the targeted filter and the bound bucket; a
-            // lifo run with the filter off needs neither load.
-            const bool need_neighbor_estimate =
-                targeted || sched == SchedPolicy::kBound;
-            for (const NodeId v : nbrs) {
-              const NodeId ev = need_neighbor_estimate
-                                    ? est[v].load(std::memory_order_acquire)
-                                    : 0;
-              // §3.1.2 targeted wake, still safe under asynchrony: est[v]
-              // never rises, so est[v] <= refined stays true forever and
-              // v's computeIndex can never be lowered by this estimate.
-              if (targeted && ev <= refined) continue;
-              std::uint32_t bucket = 0;
-              switch (sched) {
-                case SchedPolicy::kLifo:
-                  break;
-                case SchedPolicy::kBound:
-                  bucket = bound_bucket(ev);
-                  break;
-                case SchedPolicy::kDelta:
-                  bucket = delta_bucket(
-                      delta[v].fetch_add(drop, std::memory_order_relaxed) +
-                      drop);
-                  break;
-              }
-              if (worklist.schedule(v, w, bucket)) ++woken;
-            }
-            if (metrics_on) {
-              octx->add(c_wakes, woken);
-              octx->observe(h_wake_fanout, woken);
-            }
+          if (metrics_on) {
+            octx->add(c_wakes, woken);
+            octx->observe(h_wake_fanout, woken);
           }
         }
-        // Retire AFTER the wakes: the detector counts our follow-on work
-        // before this unit stops being outstanding.
-        worklist.finish();
       }
-      skipped_total.fetch_add(skipped, std::memory_order_relaxed);
-      if (lowered_any) lowered_some.store(true, std::memory_order_relaxed);
-    } catch (...) {
-      {
-        const std::lock_guard<std::mutex> lock(error_mutex);
-        if (!outcome.error) outcome.error = std::current_exception();
-      }
-      abort.store(true, std::memory_order_relaxed);
+      // Retire AFTER the wakes: the detector counts our follow-on work
+      // before this unit stops being outstanding.
+      worklist.finish();
     }
-  };
-
-  std::vector<std::thread> pool;
-  pool.reserve(workers - 1);
-  for (unsigned w = 1; w < workers; ++w) pool.emplace_back(worker_fn, w);
-  worker_fn(0);
-  for (auto& thread : pool) thread.join();
-  outcome.skipped_recomputes = skipped_total.load(std::memory_order_relaxed);
-  outcome.lowered = lowered_some.load(std::memory_order_relaxed);
-  return outcome;
+    skipped_total.fetch_add(skipped, std::memory_order_relaxed);
+    if (lowered_any) lowered_some.store(true, std::memory_order_relaxed);
+  });
+  return {skipped_total.load(std::memory_order_relaxed),
+          lowered_some.load(std::memory_order_relaxed)};
 }
 
 }  // namespace kcore::par

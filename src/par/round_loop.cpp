@@ -1,38 +1,27 @@
 #include "par/round_loop.h"
 
+#include <atomic>
 #include <barrier>
 #include <cstdint>
 #include <exception>
-#include <mutex>
-#include <thread>
-#include <vector>
+#include <stop_token>
 
 #include "obs/obs.h"
+#include "par/fork_join.h"
 #include "util/check.h"
 
 namespace kcore::par {
 
 namespace {
 
-/// Shared control block: the stop flag is plain (the barrier's phase
-/// ordering publishes it), the error slot is mutex-guarded because any
-/// worker may fault at any point within a round.
+/// Shared control block. `stop` and `completion_error` are plain: only
+/// the completion step writes them, and the barrier's phase ordering
+/// publishes them. `body_failed` is atomic because any worker may set it
+/// at any point within a round.
 struct LoopState {
-  const RoundBody* body = nullptr;
-  const RoundCompletion* completion = nullptr;
   bool stop = false;
-  std::mutex error_mutex;
-  std::exception_ptr first_error;
-
-  void capture_error() noexcept {
-    const std::lock_guard<std::mutex> lock(error_mutex);
-    if (!first_error) first_error = std::current_exception();
-  }
-
-  [[nodiscard]] bool failed() noexcept {
-    const std::lock_guard<std::mutex> lock(error_mutex);
-    return static_cast<bool>(first_error);
-  }
+  std::atomic<bool> body_failed{false};
+  std::exception_ptr completion_error;
 };
 
 }  // namespace
@@ -71,50 +60,49 @@ void run_round_loop(unsigned workers, const RoundBody& body,
   }
 
   LoopState state;
-  state.body = &body;
-  state.completion = &completion;
 
   std::uint64_t round_counter = 0;  // owned by the completion phase
-  auto on_phase_complete = [&state, &round_counter]() noexcept {
-    if (state.stop) return;  // winding down after a failure
+  auto on_phase_complete = [&state, &completion, &round_counter]() noexcept {
     ++round_counter;
-    if (state.failed()) {
+    if (state.body_failed.load(std::memory_order_relaxed)) {
       state.stop = true;
       return;
     }
     try {
-      if (!(*state.completion)(round_counter)) state.stop = true;
+      if (!completion(round_counter)) state.stop = true;
     } catch (...) {
-      state.capture_error();
+      state.completion_error = std::current_exception();
       state.stop = true;
     }
   };
   std::barrier barrier(static_cast<std::ptrdiff_t>(workers),
                        on_phase_complete);
 
-  auto worker_loop = [&state, &barrier](unsigned worker) {
+  // A failed body still arrives at the barrier, so nobody deadlocks; the
+  // phase then stops the loop and the worker rethrows its own exception
+  // to fork_join, which hands the first one to the caller.
+  fork_join(workers, [&state, &body, &barrier](unsigned worker,
+                                               const std::stop_token&) {
     for (std::uint64_t round = 1;; ++round) {
+      std::exception_ptr error;
       try {
-        (*state.body)(worker, round);
+        body(worker, round);
       } catch (...) {
-        state.capture_error();
+        error = std::current_exception();
+        state.body_failed.store(true, std::memory_order_relaxed);
       }
       barrier.arrive_and_wait();
+      if (error) std::rethrow_exception(error);
       // `stop` was written by the completion step of this very phase;
       // the barrier sequences that write before this read.
-      if (state.stop) return;
+      if (state.stop) {
+        if (worker == 0 && state.completion_error) {
+          std::rethrow_exception(state.completion_error);
+        }
+        return;
+      }
     }
-  };
-
-  std::vector<std::thread> pool;
-  pool.reserve(workers - 1);
-  for (unsigned w = 1; w < workers; ++w) {
-    pool.emplace_back(worker_loop, w);
-  }
-  worker_loop(0);
-  for (auto& thread : pool) thread.join();
-
-  if (state.first_error) std::rethrow_exception(state.first_error);
+  });
 }
 
 }  // namespace kcore::par

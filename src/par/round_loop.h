@@ -1,4 +1,4 @@
-// Fork-join round loop — the thread-pool backbone of kcore::par.
+// Fork-join round loop — the barrier-round backbone of kcore::par.
 //
 // Every parallel runtime in this subsystem (the one-to-many host engine in
 // par/engine.h, the vertex-centric BSP runtime in par/bsp_par.cpp) has the
@@ -9,9 +9,9 @@
 // out once so the runtimes only supply the per-round work.
 //
 // Semantics:
-//  * `workers` threads are spawned once and live for the whole loop (a
-//    fixed pool, not per-round thread churn); worker 0 runs on the calling
-//    thread.
+//  * `workers` workers are forked once through par::fork_join
+//    (par/fork_join.h) and live for the whole loop (no per-round thread
+//    churn); worker 0 runs on the calling thread.
 //  * In round r (1-based) every worker runs body(worker, r) exactly once.
 //  * When all workers have finished round r, completion(r) runs exactly
 //    once, on an unspecified worker thread, while every other worker is
@@ -24,10 +24,10 @@
 //    shared state handed from the round phase to the completion phase and
 //    back is race-free.
 //
-// Exception safety: an exception thrown by body or completion is captured,
-// the loop winds down at the next barrier (remaining workers still arrive,
-// so nobody deadlocks), and the first captured exception is rethrown on
-// the calling thread after all workers have joined.
+// Exception safety: an exception thrown by body or completion ends the
+// loop at that round's barrier (remaining workers still arrive, so nobody
+// deadlocks); fork_join rethrows the first one on the calling thread
+// after all workers have joined.
 #pragma once
 
 #include <cstdint>

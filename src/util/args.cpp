@@ -73,6 +73,16 @@ std::int64_t Args::get_int(const std::string& name,
   return value;
 }
 
+std::int64_t Args::get_checked(const std::string& name,
+                               std::int64_t fallback,
+                               std::int64_t max) const {
+  const std::int64_t value = get_int(name, fallback);
+  KCORE_CHECK_MSG(value >= 0 && value <= max,
+                  "--" << name << " must be in [0, " << max << "], got "
+                       << value);
+  return value;
+}
+
 double Args::get_double(const std::string& name, double fallback) const {
   const auto v = get(name);
   if (!v) return fallback;

@@ -40,6 +40,12 @@ class Args {
                                      std::int64_t fallback) const;
   [[nodiscard]] double get_double(const std::string& name,
                                   double fallback) const;
+  /// get_int() bounds-checked to [0, max] BEFORE the caller's unsigned
+  /// cast: `--hosts -1` must die with a message naming the flag, not wrap
+  /// to 4e9 and fail far from the command line.
+  [[nodiscard]] std::int64_t get_checked(const std::string& name,
+                                         std::int64_t fallback,
+                                         std::int64_t max) const;
 
   /// Option names that were provided but never queried — surfacing typos.
   /// Call after all get()/has() uses.

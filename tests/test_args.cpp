@@ -62,6 +62,23 @@ TEST(Args, TypedGettersRejectGarbage) {
   EXPECT_THROW((void)args.get_double("d", 0.0), CheckError);
 }
 
+TEST(Args, GetCheckedRejectsOutOfRangeBeforeTheCast) {
+  const auto args = make({"--neg", "-1", "--ok", "5", "--big", "11", "--huge",
+                          "99999999999999999999"});
+  EXPECT_EQ(args.get_checked("ok", 0, 10), 5);
+  EXPECT_EQ(args.get_checked("missing", 3, 10), 3);
+  EXPECT_EQ(args.get_checked("ok", 0, 5), 5);  // the bound is inclusive
+  try {
+    (void)args.get_checked("neg", 0, 10);
+    ADD_FAILURE() << "--neg -1 accepted";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("--neg"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW((void)args.get_checked("big", 0, 10), CheckError);
+  EXPECT_THROW((void)args.get_checked("huge", 0, 10), CheckError);
+}
+
 TEST(Args, MalformedOptionThrows) {
   EXPECT_THROW(make({"--=x"}), CheckError);
   EXPECT_THROW(make({"--"}), CheckError);

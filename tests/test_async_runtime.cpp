@@ -1,19 +1,23 @@
 // Unit + stress tests for the async runtime's building blocks: the
 // Chase–Lev steal deque (push/pop/steal races, growth), the in-queue flag
-// protocol (no lost wakeups under forced re-activation), and the
-// concurrent quiescence detector (never declares termination while work
-// is outstanding). The graph-level correctness sweep lives in
+// protocol (no lost wakeups under forced re-activation), the concurrent
+// quiescence detector (never declares termination while work is
+// outstanding), and par::relax()'s failure path. The graph-level correctness sweep lives in
 // tests/test_async_property.cpp; here the scheduler is hammered directly.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
 #include <random>
+#include <span>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "core/termination.h"
+#include "graph/generators.h"
 #include "par/async_engine.h"
+#include "par/relax.h"
 #include "par/steal_deque.h"
 
 namespace kcore {
@@ -296,6 +300,49 @@ TEST(AsyncWorklistStress, EveryEnqueueIsProcessedExactlyOnce) {
     EXPECT_FALSE(worklist.flagged(item)) << "item " << item;
   }
   EXPECT_GE(worklist.detector().passes(), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// relax() failure path
+// ---------------------------------------------------------------------------
+
+/// A graph view whose neighbors() throws the first time it is asked for
+/// one vertex. Only once: a vertex that threw on every visit would, once
+/// re-woken, stop each worker in turn even without the stop token.
+struct ThrowOnceView {
+  const graph::Graph& g;
+  graph::NodeId bad;
+  std::atomic<bool>& thrown;
+  [[nodiscard]] std::span<const graph::NodeId> neighbors(
+      graph::NodeId u) const {
+    if (u == bad && !thrown.exchange(true)) {
+      throw std::runtime_error("bad vertex");
+    }
+    return g.neighbors(u);
+  }
+};
+
+TEST(Relax, WorkerExceptionReachesTheCallerAndStopsTheRest) {
+  // Every vertex is seeded, so some worker reaches the bad one. Its unit
+  // is never retired, so quiescence is never confirmed: the other
+  // workers must leave on the stop token (a hang here is caught by the
+  // ctest timeout).
+  const graph::Graph g = graph::gen::barabasi_albert(2000, 4, 7);
+  const graph::NodeId n = g.num_nodes();
+  for (const unsigned workers : {1u, 4u}) {
+    SCOPED_TRACE(workers);
+    par::AsyncRunContext context(n, workers, core::SchedPolicy::kBound);
+    par::AsyncWorklist& worklist = *context.worklist;
+    worklist.reset();
+    for (graph::NodeId u = 0; u < n; ++u) {
+      context.est[u].store(g.degree(u), std::memory_order_relaxed);
+      worklist.seed(u, u % workers, par::bound_bucket(g.degree(u)));
+    }
+    std::atomic<bool> thrown{false};
+    const ThrowOnceView view{g, n / 2, thrown};
+    EXPECT_THROW((void)par::relax(view, context, true, nullptr),
+                 std::runtime_error);
+  }
 }
 
 }  // namespace

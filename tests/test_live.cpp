@@ -702,6 +702,28 @@ TEST(RepairEngine, InitializeRunsTheBspAsyncLoop) {
   }
 }
 
+TEST(RepairEngine, OnlyRemovalsLeaveRelaxationPending) {
+  // The service starts its provisional watchdog only when has_pending():
+  // an insert-only batch must not leave work behind.
+  Graph g = gen::grid(6, 6);
+  LiveGraph live(g);
+  RepairEngine engine(live, {2, SchedPolicy::kBound, true});
+  (void)engine.initialize();
+  EXPECT_FALSE(engine.has_pending());
+  ASSERT_TRUE(live.apply({EdgeOp::kInsert, 0, 7}));
+  engine.note_insert(0, 7);
+  EXPECT_FALSE(engine.has_pending());
+  (void)engine.repair();
+  ASSERT_TRUE(live.apply({EdgeOp::kRemove, 0, 1}));
+  engine.note_remove(0, 1);
+  EXPECT_TRUE(engine.has_pending());
+  (void)engine.repair();
+  EXPECT_FALSE(engine.has_pending());
+  std::vector<NodeId> coreness;
+  engine.copy_coreness(coreness);
+  EXPECT_EQ(coreness, seq::coreness_bz(live.snapshot()));
+}
+
 // --- locality: incremental repair beats full reconvergence ------------------
 
 TEST(LiveService, SingleEdgeRepairIsLocal) {

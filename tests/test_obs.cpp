@@ -16,6 +16,7 @@
 #include <limits>
 #include <numeric>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -31,6 +32,7 @@
 #include "obs/trace.h"
 #include "par/async_engine.h"
 #include "seq/kcore_seq.h"
+#include "util/ticker.h"
 
 namespace kcore {
 namespace {
@@ -390,6 +392,69 @@ TEST(ObsSampler, CollectsMonotoneTimestamps) {
     EXPECT_EQ(s.worklist_depth, 42u);
     prev = s.t_ms;
   }
+}
+
+// --- util::Ticker, the sampler's (and the live watchdog's) thread ----------
+
+TEST(Ticker, DestroyingAStartedTickerJoinsIt) {
+  std::atomic<int> ticks{0};
+  {
+    util::Ticker ticker(1.0, [&] { ticks.fetch_add(1); });
+    ticker.start();
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }  // no stop(): the destructor must stop and join
+  const int at_destruction = ticks.load();
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  EXPECT_EQ(ticks.load(), at_destruction);
+}
+
+TEST(Ticker, StopWaitsForARunningTick) {
+  std::atomic<bool> entered{false};
+  std::atomic<bool> finished{false};
+  util::Ticker ticker(1.0, [&] {
+    if (entered.exchange(true)) return;  // only the first tick is slow
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    finished = true;
+  });
+  ticker.start();
+  while (!entered.load()) std::this_thread::yield();
+  ticker.stop();
+  EXPECT_TRUE(finished.load());
+}
+
+TEST(Ticker, ThrowingTickEndsTheTickingAndStopRethrows) {
+  std::atomic<int> ticks{0};
+  util::Ticker ticker(1.0, [&] {
+    ticks.fetch_add(1);
+    throw std::runtime_error("tick failed");
+  });
+  ticker.start();
+  while (ticks.load() == 0) std::this_thread::yield();
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  EXPECT_THROW(ticker.stop(), std::runtime_error);
+  EXPECT_EQ(ticks.load(), 1);
+  EXPECT_NO_THROW(ticker.stop());  // reported once
+}
+
+TEST(Ticker, SlowTickSkipsMissedTicksInsteadOfReplayingThem) {
+  // One 100 ms tick overruns ten 10 ms grid points. Replaying them would
+  // fire ~10 ticks back to back the moment it returns; skipping them
+  // leaves at most a couple in the 15 ms that follow.
+  std::atomic<int> fast_ticks{0};
+  std::atomic<bool> slow_done{false};
+  util::Ticker ticker(10.0, [&] {
+    if (!slow_done.load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(100));
+      slow_done = true;
+      return;
+    }
+    fast_ticks.fetch_add(1);
+  });
+  ticker.start();
+  while (!slow_done.load()) std::this_thread::yield();
+  std::this_thread::sleep_for(std::chrono::milliseconds(15));
+  ticker.stop();
+  EXPECT_LT(fast_ticks.load(), 6);
 }
 
 // --- options / gating -------------------------------------------------------

@@ -1,22 +1,77 @@
-// Unit tests for the src/par building blocks: the fork-join round loop,
-// the double-buffered mailbox matrix, and the par::Engine's exact parity
-// with sim::Engine under synchronous delivery.
+// Unit tests for the src/par building blocks: fork_join, the fork-join
+// round loop, the double-buffered mailbox matrix, and the par::Engine's
+// exact parity with sim::Engine under synchronous delivery.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <stdexcept>
+#include <stop_token>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "core/assignment.h"
 #include "core/one_to_many.h"
 #include "graph/generators.h"
 #include "par/engine.h"
+#include "par/fork_join.h"
 #include "par/mailbox.h"
 #include "par/round_loop.h"
 
 namespace kcore {
 namespace {
+
+// --- fork_join --------------------------------------------------------------
+
+TEST(ForkJoin, EveryIndexRunsOnceAndIndexZeroOnTheCaller) {
+  const std::thread::id caller = std::this_thread::get_id();
+  for (const unsigned workers : {1u, 2u, 5u}) {
+    std::vector<std::atomic<int>> runs(workers);
+    std::vector<std::thread::id> ids(workers);
+    par::fork_join(workers, [&](unsigned w, const std::stop_token&) {
+      runs[w].fetch_add(1);
+      ids[w] = std::this_thread::get_id();
+    });
+    for (unsigned w = 0; w < workers; ++w) {
+      EXPECT_EQ(runs[w].load(), 1) << "worker " << w;
+      if (w == 0) {
+        EXPECT_EQ(ids[w], caller);
+      } else {
+        EXPECT_NE(ids[w], caller) << "worker " << w;
+      }
+    }
+  }
+}
+
+TEST(ForkJoin, FirstExceptionIsRethrownAfterEveryWorkerJoins) {
+  // Worker 1 throws at once; every other worker waits for the stop
+  // request (a missing request hangs here until the ctest timeout), then
+  // lingers before finishing. Worker 2 throws a second exception after
+  // the stop, which must not replace the first.
+  constexpr unsigned kWorkers = 4;
+  std::vector<std::atomic<bool>> saw_stop(kWorkers);
+  std::vector<std::atomic<bool>> finished(kWorkers);
+  try {
+    par::fork_join(kWorkers, [&](unsigned w, const std::stop_token& stop) {
+      if (w == 1) throw std::runtime_error("first");
+      while (!stop.stop_requested()) std::this_thread::yield();
+      saw_stop[w] = true;
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      finished[w] = true;
+      if (w == 2) throw std::runtime_error("second");
+    });
+    ADD_FAILURE() << "fork_join returned normally";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()), "first");
+  }
+  for (unsigned w = 0; w < kWorkers; ++w) {
+    if (w == 1) continue;
+    EXPECT_TRUE(saw_stop[w]) << "worker " << w;
+    EXPECT_TRUE(finished[w]) << "worker " << w;
+  }
+}
 
 // --- run_round_loop ---------------------------------------------------------
 

@@ -37,6 +37,7 @@
 #include <algorithm>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <variant>
@@ -574,8 +575,9 @@ int cmd_stream(const util::Args& args) {
   KCORE_CHECK_MSG(updates_path.has_value(), "--updates FILE is required");
   const graph::EdgeStream stream =
       graph::read_edge_stream_file(*updates_path);
+  constexpr auto kMaxI64 = std::numeric_limits<std::int64_t>::max();
   const auto window =
-      static_cast<std::uint64_t>(args.get_int("window", 0));
+      static_cast<std::uint64_t>(args.get_checked("window", 0, kMaxI64));
   const live::UpdateLog log = live::UpdateLog::from_stream(stream, window);
   const bool verify = args.has("verify");
   const bool json = args.has("json");
@@ -587,8 +589,9 @@ int cmd_stream(const util::Args& args) {
   options.sched = run.sched;
   options.targeted_send = run.targeted_send;
   options.metrics = run.obs.metrics;
-  options.provisional_deadline_ms =
-      static_cast<std::uint64_t>(args.get_int("provisional-deadline", 0));
+  // Capped at a day: deadlines are added to steady_clock's now().
+  options.provisional_deadline_ms = static_cast<std::uint64_t>(
+      args.get_checked("provisional-deadline", 0, 24LL * 3600 * 1000));
 
   // --wal DIR turns on durability (--checkpoint-dir is a synonym).
   live::DurabilityOptions durability;
@@ -596,12 +599,13 @@ int cmd_stream(const util::Args& args) {
   if (const auto dir = args.get("checkpoint-dir")) durability.dir = *dir;
   durability.fsync =
       live::parse_fsync_policy(args.get_string("fsync", "every-batch"));
+  constexpr auto kMaxU32 = std::numeric_limits<std::uint32_t>::max();
   durability.fsync_every =
-      static_cast<unsigned>(args.get_int("fsync-every", 8));
-  durability.checkpoint_every =
-      static_cast<std::uint64_t>(args.get_int("checkpoint-every", 64));
+      static_cast<unsigned>(args.get_checked("fsync-every", 8, kMaxU32));
+  durability.checkpoint_every = static_cast<std::uint64_t>(
+      args.get_checked("checkpoint-every", 64, kMaxI64));
   durability.keep_checkpoints =
-      static_cast<unsigned>(args.get_int("keep-checkpoints", 2));
+      static_cast<unsigned>(args.get_checked("keep-checkpoints", 2, kMaxU32));
   if (recover && durability.dir.empty()) {
     throw util::IoError(
         "--recover needs --wal DIR (the state directory to recover from)");
