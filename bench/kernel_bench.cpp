@@ -233,7 +233,7 @@ std::uint64_t relaxation_loop(const graph::Graph& g,
   while (!worklist.done()) {
     const std::uint32_t u = worklist.acquire(0);
     if (u == par::AsyncWorklist::kNone) {
-      if (worklist.try_confirm()) break;
+      if (worklist.try_confirm(0)) break;
       continue;
     }
     worklist.begin(u);
@@ -254,7 +254,7 @@ std::uint64_t relaxation_loop(const graph::Graph& g,
         worklist.schedule(v, 0);
       }
     }
-    worklist.finish();
+    worklist.finish(0);
   }
   return relaxed;
 }

@@ -449,7 +449,6 @@ ProtocolRegistry::ProtocolRegistry() {
 
   Capabilities bsp_async;
   bsp_async.execution = ExecutionKind::kAsync;
-  bsp_async.consumes_assignment = true;
   bsp_async.consumes_threads = true;
   bsp_async.consumes_sched = true;
   bsp_async.consumes_targeted_send = true;
@@ -630,6 +629,14 @@ std::vector<std::string> validate(const DecomposeRequest& request) {
         "' has no host-to-host comm channels; --comm " +
         std::string(to_string(options.comm)) + " only applies to " +
         consumers_of(registry, &Capabilities::consumes_comm_policy));
+  }
+  if (options.assignment != core::AssignmentPolicy::kModulo &&
+      !caps.consumes_assignment) {
+    problems.push_back(
+        "protocol '" + request.protocol +
+        "' has no node-to-host placement; --assignment " +
+        std::string(to_string(options.assignment)) + " only applies to " +
+        consumers_of(registry, &Capabilities::consumes_assignment));
   }
   if (options.threads != 0 && !caps.consumes_threads) {
     problems.push_back(

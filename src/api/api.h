@@ -276,7 +276,7 @@ struct Capabilities {
 // --- registry ---------------------------------------------------------------
 
 /// One protocol, prepared: the amortizable derivation (assignment,
-/// host/shard construction, seed orders) happened at construction time;
+/// host/shard construction) happened at construction time;
 /// run() is repeatable and every run's report is bit-identical to a
 /// one-shot decompose() of the same request (timing fields and
 /// schedule-dependent extras excepted).

@@ -89,8 +89,8 @@ class Session {
   }
   [[nodiscard]] const Capabilities& capabilities() const noexcept;
 
-  /// Build the amortizable state (assignment, host/shard construction,
-  /// seed orders — the one-shot runner's setup phase). Idempotent and
+  /// Build the amortizable state (assignment, host/shard construction —
+  /// the one-shot runner's setup phase). Idempotent and
   /// race-safe: concurrent callers (including runs preparing on demand)
   /// serialize, one performs the derivation, the rest observe it.
   void prepare();

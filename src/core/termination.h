@@ -21,10 +21,10 @@
 //
 // QuiescenceDetector below is mechanism 2 ported to SHARED MEMORY for the
 // async runtime (par/async_engine.h): the master's per-host activity
-// reports become one global outstanding-work counter, and "declare
-// termination one round after every host has reported quiet" becomes a
-// confirmation pass — a second seq_cst read of the counter across a full
-// fence before the done flag is raised.
+// reports become one global outstanding-work counter that workers update
+// in credit batches, and "declare termination one round after every host
+// has reported quiet" becomes a confirmation pass — a second seq_cst read
+// of the counter across a full fence before the done flag is raised.
 #pragma once
 
 #include <atomic>
@@ -72,21 +72,40 @@ struct CentralizedTermination {
 /// Concurrent quiescence detector — the §3.3 centralized detector ported
 /// to shared memory, used by the async (chaotic-relaxation) runtime.
 ///
-/// Accounting contract (the caller's side of the §4 safety argument):
-///  * add() BEFORE the work unit becomes discoverable by other workers
-///    (e.g. before the vertex is pushed onto a steal deque);
-///  * finish() AFTER the unit is fully processed, INCLUDING any add()
-///    calls for follow-on work it spawned.
-/// Under that discipline outstanding() == 0 implies no unit is queued,
-/// none is being processed, and none can appear (only processing spawns
-/// work) — true global quiescence, not a transient dip.
+/// The counter is an upper bound on the outstanding work. Callers keep
+/// that bound with two rules (the caller's side of the §4 safety
+/// argument):
+///  * add(n) BEFORE any of the n units becomes discoverable by another
+///    worker (e.g. before a vertex is pushed onto a steal deque) — adding
+///    earlier, or more than is then spent, only raises the bound;
+///  * finish(n) only for units that are fully processed, INCLUDING the
+///    add() calls for the follow-on work they spawned — subtracting later
+///    only raises the bound.
+/// Under that discipline the counter never reads below the true number
+/// of queued plus in-process units, so outstanding() == 0 implies no unit
+/// is queued, none is being processed, and none can appear (only
+/// processing spawns work) — true global quiescence, not a transient dip.
+///
+/// Credit accounting (Mattern, IPL 1989) is how the async worklist
+/// (par/async_worklist.h) keeps this line cold: each worker adds credit
+/// in batches, spends one per enqueue, counts its finishes locally, and
+/// returns both its unspent credit and its unflushed finishes before it
+/// tries to confirm. The counter then equals the true outstanding count
+/// plus every worker's reserve and unflushed finishes — exact once every
+/// worker has flushed, above it until then. Only an idle worker (empty
+/// lane, failed steal sweep) confirms, after flushing its own share, so
+/// a confirmed zero still means every worker has flushed and nothing is
+/// left.
 ///
 /// try_confirm() is the detection step: a first seq_cst read finding zero
 /// is the "every host reports quiet" event; the confirmation pass — a
 /// second read across a full fence — is the master's extra round before it
 /// declares termination. Once confirmed, done() stays true forever (the
 /// protocol guarantees no spontaneous work). Any worker may call
-/// try_confirm() concurrently; confirmation is idempotent.
+/// try_confirm() concurrently; confirmation is idempotent. finish() is a
+/// release: a confirmer whose zero read comes from another worker's
+/// finish() sees that worker's results (a seeded mutant in
+/// tests/test_chk_mutants.cpp relaxes it and the checker catches it).
 ///
 /// The Sync parameter is the chk shim (chk/sync.h): production uses the
 /// zero-overhead RealSync passthrough; the model checker instantiates
@@ -98,17 +117,20 @@ class BasicQuiescenceDetector {
   static constexpr bool kNothrow = !Sync::kInstrumented;
 
  public:
-  /// Work units created (flag transitions 0 -> 1 in the async engine).
+  /// n work units (or credits for them) created.
   void add(std::uint64_t n = 1) noexcept(kNothrow) {
     outstanding_.fetch_add(static_cast<std::int64_t>(n),
                            std::memory_order_acq_rel, "qd.add");
   }
 
-  /// One previously-added unit retired (processed to completion).
-  void finish() noexcept(kNothrow) {
-    outstanding_.fetch_sub(1, std::memory_order_acq_rel, "qd.finish");
+  /// n previously-added units (or unspent credits) retired.
+  void finish(std::uint64_t n = 1) noexcept(kNothrow) {
+    outstanding_.fetch_sub(static_cast<std::int64_t>(n),
+                           std::memory_order_acq_rel, "qd.finish");
   }
 
+  /// The upper bound on outstanding work (exact once every worker has
+  /// flushed; 0 after a confirmed run).
   [[nodiscard]] std::int64_t outstanding() const noexcept(kNothrow) {
     return outstanding_.load(std::memory_order_acquire,
                              "qd.read_outstanding");
@@ -158,9 +180,12 @@ class BasicQuiescenceDetector {
   template <typename T>
   using Atomic = typename Sync::template Atomic<T>;
 
+  // outstanding_ takes every add/finish; done_ is read by every worker on
+  // every loop turn, so it gets a line of its own that stays shared
+  // until the run ends.
   alignas(64) Atomic<std::int64_t> outstanding_{0};
   Atomic<std::uint64_t> passes_{0};
-  Atomic<bool> done_{false};
+  alignas(64) Atomic<bool> done_{false};
 };
 
 /// The production instantiation (zero-overhead std::atomic passthrough).

@@ -89,7 +89,14 @@ void write_edge_list_file(const std::string& path, const Graph& g) {
   if (!out.good()) throw util::IoError(path + ": write failed");
 }
 
-EdgeStream read_edge_stream(std::istream& in, const std::string& source) {
+EdgeStream read_edge_stream(std::istream& in,
+                            std::span<const std::uint64_t> original_ids,
+                            const std::string& source) {
+  std::unordered_map<std::uint64_t, NodeId> dense_of;
+  dense_of.reserve(original_ids.size());
+  for (std::size_t dense = 0; dense < original_ids.size(); ++dense) {
+    dense_of.emplace(original_ids[dense], static_cast<NodeId>(dense));
+  }
   EdgeStream stream;
   std::string line;
   std::size_t line_no = 0;
@@ -118,26 +125,33 @@ EdgeStream read_edge_stream(std::istream& in, const std::string& source) {
                         "timestamp goes backwards (" + std::to_string(t) +
                             " after " + std::to_string(last_time) + ")");
     }
-    if (a > UINT32_MAX || b > UINT32_MAX) {
-      throw_parse_error(source, line_no, "node id out of 32-bit range");
-    }
+    const auto to_dense = [&](std::uint64_t id) -> NodeId {
+      const auto it = dense_of.find(id);
+      if (it == dense_of.end()) {
+        throw_parse_error(source, line_no,
+                          "node id " + std::to_string(id) +
+                              " is not in the base graph's edge list");
+      }
+      return it->second;
+    };
     last_time = t;
     TimedEdgeUpdate event;
     event.time = t;
     event.update.op = op == "+" ? EdgeOp::kInsert : EdgeOp::kRemove;
-    event.update.u = static_cast<NodeId>(a);
-    event.update.v = static_cast<NodeId>(b);
+    event.update.u = to_dense(a);
+    event.update.v = to_dense(b);
     stream.events.push_back(event);
   }
   return stream;
 }
 
-EdgeStream read_edge_stream_file(const std::string& path) {
+EdgeStream read_edge_stream_file(const std::string& path,
+                                 std::span<const std::uint64_t> original_ids) {
   std::ifstream in(path);
   if (!in.good()) {
     throw util::IoError(path + ": cannot open edge stream file");
   }
-  return read_edge_stream(in, path);
+  return read_edge_stream(in, original_ids, path);
 }
 
 void write_edge_stream(std::ostream& out, const EdgeStream& stream) {

@@ -7,12 +7,15 @@
 //
 // Stream format (timestamped churn, consumed by src/live): one "t op u v"
 // event per line, with t a non-decreasing integer timestamp, op '+'
-// (insert) or '-' (remove), and u/v DENSE node ids into an already-loaded
-// base graph. Same comment rules.
+// (insert) or '-' (remove), and u/v node ids as written in the edge list
+// of an already-loaded base graph; the reader maps them to dense ids
+// through that graph's id table (LoadedGraph::original_ids). Same
+// comment rules.
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -81,17 +84,22 @@ struct EdgeUpdateBatch {
   std::vector<EdgeUpdate> updates;
 };
 
-/// Parse a "t op u v" stream. Throws util::IoError (with `source` and
-/// the line number) on malformed lines, unknown ops, or a timestamp that
-/// goes backwards — a half-read stream would silently corrupt a replay.
-[[nodiscard]] EdgeStream read_edge_stream(std::istream& in,
-                                          const std::string& source = "input");
+/// Parse a "t op u v" stream whose u and v are file ids of the edge list
+/// that produced `original_ids` (original_ids[dense] = file id); they come
+/// out as the matching dense ids. Throws util::IoError (with `source` and
+/// the line number) on malformed lines, unknown ops, a timestamp that goes
+/// backwards, or a file id not in the table — a half-read stream would
+/// silently corrupt a replay.
+[[nodiscard]] EdgeStream read_edge_stream(
+    std::istream& in, std::span<const std::uint64_t> original_ids,
+    const std::string& source = "input");
 
 /// Convenience file wrapper around read_edge_stream(std::istream&).
-[[nodiscard]] EdgeStream read_edge_stream_file(const std::string& path);
+[[nodiscard]] EdgeStream read_edge_stream_file(
+    const std::string& path, std::span<const std::uint64_t> original_ids);
 
 /// Write a stream as "t op u v" lines with a comment header; the output
-/// round-trips through read_edge_stream.
+/// round-trips through read_edge_stream with an identity id table.
 void write_edge_stream(std::ostream& out, const EdgeStream& stream);
 
 /// Convenience file wrapper around write_edge_stream(std::ostream&).

@@ -31,7 +31,8 @@ namespace kcore::obs {
 /// One sampler tick. Engines fill what they can; unset fields stay 0.
 struct Sample {
   double t_ms = 0.0;               // since Sampler::start()
-  std::int64_t outstanding = 0;    // quiescence detector's in-flight count
+  std::int64_t outstanding = 0;    // detector counter: in-flight work plus
+                                   // unreturned worker credit (upper bound)
   std::uint64_t worklist_depth = 0;  // items currently flagged in-queue
   double sum_estimates = 0.0;      // Fig. 4 error-proxy numerator
   std::uint64_t round = 0;         // last completed round (0 if roundless)

@@ -5,12 +5,10 @@
 #include <memory>
 #include <vector>
 
-#include "core/assignment.h"
 #include "par/engine.h"
 #include "par/relax.h"
 #include "util/check.h"
 #include "util/clock.h"
-#include "util/rng.h"
 
 namespace kcore::par {
 
@@ -36,18 +34,6 @@ AsyncPrepared prepare_bsp_async(const graph::Graph& g,
   AsyncPrepared prepared;
   prepared.workers = resolve_workers(options.threads, n);
   prepared.sched = options.sched;
-  // Initial distribution of the all-dirty vertex set over the worker
-  // lanes via the §3.2.2 policies — a pure function of the options (the
-  // kRandom policy splits the root seed), never of the schedule. Only
-  // the materialized per-worker seed ORDER is kept; warm runs replay it
-  // without re-walking an owner array.
-  const auto owner = core::assign_nodes(n, prepared.workers,
-                                        options.assignment,
-                                        util::split_stream(options.seed, 0));
-  prepared.seeds.assign(prepared.workers, {});
-  for (graph::NodeId u = 0; u < n; ++u) {
-    prepared.seeds[owner[u]].push_back(u);
-  }
   return prepared;
 }
 
@@ -107,17 +93,16 @@ AsyncResult run_bsp_async_prepared(const graph::Graph& g,
     }
   }
 
-  // Reset-in-place, then replay the cached per-worker seed order: a
-  // reused context allocates nothing here (the pool keeps its grown
-  // rings).
+  // Reset-in-place, then deal kSeedChunk-id chunks round-robin to the
+  // lanes (see the block comment in async_engine.h): a reused context
+  // allocates nothing here (the pool keeps its grown rings).
+  constexpr graph::NodeId kSeedChunk = 4096;
   AsyncWorklist& worklist = *context.worklist;
   worklist.reset();
-  for (unsigned w = 0; w < workers; ++w) {
-    for (const std::uint32_t u : prepared.seeds[w]) {
-      const std::uint32_t bucket =
-          sched == SchedPolicy::kBound ? bound_bucket(g.degree(u)) : 0;
-      worklist.seed(u, w, bucket);
-    }
+  for (graph::NodeId u = 0; u < n; ++u) {
+    const std::uint32_t bucket =
+        sched == SchedPolicy::kBound ? bound_bucket(g.degree(u)) : 0;
+    worklist.seed(u, (u / kSeedChunk) % workers, bucket);
   }
 
   // Telemetry (obs/obs.h): null recorder unless this run asked for some

@@ -31,10 +31,24 @@
 //    never lost. The protocol is identical under every policy — the pool
 //    only changes which flagged vertex is popped next.
 //  * Concurrent quiescence detection: core::QuiescenceDetector counts
-//    outstanding work (add on every enqueue, finish after a vertex is
-//    fully processed, including the wakes it issued), and an idle worker
-//    that finds the counter at zero runs the confirmation pass — the §3.3
-//    centralized detector ported to shared memory.
+//    outstanding work, and an idle worker that finds the counter at zero
+//    runs the confirmation pass — the §3.3 centralized detector ported to
+//    shared memory. Workers update the counter with credit (Mattern's
+//    credit recovery): each worker adds kCreditBatch credits at a time
+//    and spends one per enqueue, BEFORE the push makes the vertex
+//    stealable; it counts its finishes (after a vertex is fully
+//    processed, including the wakes it issued) locally and subtracts them
+//    a batch at a time; and an idle worker returns its unspent credit and
+//    unflushed finishes before it tries to confirm. The counter therefore
+//    never reads below the true outstanding work and equals it once every
+//    worker has flushed, so a confirmed zero is still global quiescence —
+//    while the shared line takes one RMW per batch instead of two per
+//    relaxation.
+//  * Chunked seed lanes: bsp-async seeds every vertex, dealing 4096-id
+//    chunks round-robin to the lanes (chunk c to lane c mod W). Each
+//    worker pops its own chunks from the highest id down — the global
+//    high-to-low sweep of a round-robin deal is kept — while the workers'
+//    est[] and in-queue-flag ranges stay cache-line disjoint.
 //
 // AsyncWorklist is the scheduling core (flags + priority pool + detector)
 // factored out of the engine — into par/async_worklist.h, as a template
@@ -101,10 +115,10 @@ struct AsyncResult {
 
 /// Run the async chaotic-relaxation decomposition. Consumed options:
 /// threads (0 = hardware concurrency), sched (pop-order policy — pure
-/// performance, coreness is policy-invariant), assignment + seed (initial
-/// distribution of vertices over worker lanes — a pure function of the
-/// options, never of the schedule), targeted_send (§3.1.2 wake filter,
-/// safe under asynchrony because estimates only decrease). mode,
+/// performance, coreness is policy-invariant), targeted_send (§3.1.2 wake
+/// filter, safe under asynchrony because estimates only decrease). The
+/// initial distribution of vertices over worker lanes is the fixed
+/// chunked deal above, so assignment and seed are not read. mode,
 /// max_rounds, num_hosts and comm are round-/simulator-shaped and are
 /// ignored (api::validate polices the ones that would silently lie).
 ///
@@ -115,19 +129,14 @@ struct AsyncResult {
     const core::ProgressObserver& observer = {});
 
 /// Amortizable, SHAREABLE state of an async run, for api::Session's
-/// prepare-once / run-many (and serve-many-concurrently) contract —
-/// everything that is a pure function of (graph, options) and is
-/// immutable after prepare:
-///  * the per-worker SEED ORDER (the §3.2.2 assignment materialized as
-///    one vertex list per lane, so warm runs never re-walk the owner
-///    array),
-///  * the resolved worker count and scheduling policy.
-/// Any number of concurrent runs may read one AsyncPrepared; each run
-/// brings its own AsyncRunContext for the mutable tables.
+/// prepare-once / run-many (and serve-many-concurrently) contract: the
+/// resolved worker count and scheduling policy, a pure function of
+/// (graph, options) and immutable after prepare. Any number of
+/// concurrent runs may read one AsyncPrepared; each run brings its own
+/// AsyncRunContext for the mutable tables.
 struct AsyncPrepared {
   unsigned workers = 0;
   core::SchedPolicy sched = core::SchedPolicy::kLifo;
-  std::vector<std::vector<std::uint32_t>> seeds;
 };
 
 /// Per-run mutable state, owned privately by one run at a time — what

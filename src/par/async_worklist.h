@@ -22,10 +22,15 @@
 //    re-flags the item; one that landed before is visible to the read,
 //    because the clearing exchange synchronizes with every earlier
 //    schedule()'s flag RMW. Either way no wakeup is lost;
-//  * the quiescence detector counts outstanding work: add() BEFORE the
-//    item becomes stealable (push), finish() AFTER it is fully processed
-//    including the wakes it issued — so a confirmed zero is true global
-//    quiescence, never a transient dip.
+//  * the quiescence detector counts outstanding work through per-worker
+//    credit (core/termination.h): an enqueue spends one credit that was
+//    added to the shared counter BEFORE the item became stealable (push),
+//    a finish is counted locally AFTER the item is fully processed
+//    including the wakes it issued, and a worker returns its unspent
+//    credit and unflushed finishes before it tries to confirm — so the
+//    shared counter is touched once per kCreditBatch units, and a
+//    confirmed zero is still true global quiescence, never a transient
+//    dip.
 #pragma once
 
 #include <algorithm>
@@ -46,9 +51,10 @@ namespace kcore::par {
 /// pool of per-worker steal deques, and the shared quiescence detector.
 /// Items are dense ids in [0, size).
 ///
-/// Thread contract: worker w is the only caller of acquire(w) and the only
-/// owner of lane w; schedule(item, w, bucket) may be called by any worker
-/// (it pushes into the CALLER's lane, which it owns). seed() and reset()
+/// Thread contract: worker w is the only caller of acquire(w), finish(w)
+/// and try_confirm(w), and the only owner of lane w and its credit;
+/// schedule(item, w, bucket) may be called by any worker (it pushes into
+/// the CALLER's lane and spends the caller's credit). seed() and reset()
 /// are single-threaded, before the workers start.
 template <typename Sync = chk::RealSync>
 class BasicAsyncWorklist {
@@ -60,6 +66,11 @@ class BasicAsyncWorklist {
   /// width). Priorities at or above the cap share the last bucket.
   static constexpr std::uint32_t kBuckets =
       PriorityPool<std::uint32_t, Sync>::kMaxBuckets;
+  /// Units per shared-counter update: a credit refill adds this many, and
+  /// a worker's finishes are subtracted this many at a time. Small under
+  /// the model checker so that its short programs exercise refills and
+  /// flushes.
+  static constexpr std::uint64_t kCreditBatch = Sync::kInstrumented ? 2 : 64;
 
   BasicAsyncWorklist(std::uint32_t size, unsigned workers,
                      core::SchedPolicy policy = core::SchedPolicy::kLifo)
@@ -77,12 +88,11 @@ class BasicAsyncWorklist {
   [[nodiscard]] core::SchedPolicy policy() const noexcept { return policy_; }
 
   /// Pre-run seeding: flag `item` and enqueue it into `worker`'s lane at
-  /// `bucket`. Must not race with acquire/schedule.
+  /// `bucket`, spending that lane's credit like schedule(). Must not race
+  /// with acquire/schedule.
   void seed(std::uint32_t item, unsigned worker, std::uint32_t bucket = 0) {
     in_queue_[item].store(1, std::memory_order_relaxed, "wl.seed.store_flag");
-    detector_.add();
-    pool_.push(item, bucket, worker);
-    ++tallies_[worker].enqueues;
+    enqueue(item, worker, bucket);
   }
 
   /// Activation: flag `item` and, if this call won the 0->1 transition,
@@ -99,12 +109,7 @@ class BasicAsyncWorklist {
                                  "wl.schedule.xchg_flag") != 0) {
       return false;
     }
-    // add() BEFORE the push: the moment the item is stealable it is
-    // already counted, so the detector can never observe a transient
-    // zero.
-    detector_.add();
-    pool_.push(item, bucket, worker);
-    ++tallies_[worker].enqueues;
+    enqueue(item, worker, bucket);
     return true;
   }
 
@@ -137,13 +142,30 @@ class BasicAsyncWorklist {
                                    "wl.begin.xchg_flag");
   }
 
-  /// Retire the acquired item after processing it — including every
-  /// schedule() it issued (the detector's accounting contract).
-  void finish() noexcept(kNothrow) { detector_.finish(); }
+  /// Retire worker w's acquired item after processing it — including
+  /// every schedule() it issued (the detector's accounting contract). The
+  /// finish is counted locally and reaches the shared counter once every
+  /// kCreditBatch finishes, or at w's next try_confirm().
+  void finish(unsigned worker) noexcept(kNothrow) {
+    WorkerTally& tally = tallies_[worker];
+    if (++tally.unflushed == kCreditBatch) {
+      detector_.finish(kCreditBatch);
+      tally.unflushed = 0;
+    }
+  }
 
-  /// Idle worker's termination attempt (counter zero + confirmation
-  /// pass); sticky once true.
-  [[nodiscard]] bool try_confirm() noexcept(kNothrow) {
+  /// Idle worker w's termination attempt: return w's unspent credit and
+  /// unflushed finishes, then run the detector's zero read + confirmation
+  /// pass; sticky once true. Only a worker whose own lane is empty and
+  /// whose steal sweep failed may call it — it flushes only its own
+  /// share, so the counter reaches zero only after every worker has.
+  [[nodiscard]] bool try_confirm(unsigned worker) noexcept(kNothrow) {
+    WorkerTally& tally = tallies_[worker];
+    if (const std::uint64_t owed = tally.credit + tally.unflushed; owed > 0) {
+      detector_.finish(owed);
+      tally.credit = 0;
+      tally.unflushed = 0;
+    }
     return detector_.try_confirm();
   }
   [[nodiscard]] bool done() const noexcept(kNothrow) {
@@ -222,7 +244,24 @@ class BasicAsyncWorklist {
     std::uint64_t steals = 0;     // written only by the owning worker
     std::uint64_t enqueues = 0;   // successful seed/schedule calls
     std::uint64_t pop_scans = 0;  // deque probes during acquire
+    std::uint64_t credit = 0;     // added to the detector, not yet spent
+    std::uint64_t unflushed = 0;  // finished, not yet subtracted
   };
+
+  /// Count `item` in `worker`'s credit, then make it stealable. The
+  /// refill add() precedes the push: the moment the item is stealable it
+  /// is already counted, so the detector can never read below the true
+  /// outstanding work.
+  void enqueue(std::uint32_t item, unsigned worker, std::uint32_t bucket) {
+    WorkerTally& tally = tallies_[worker];
+    if (tally.credit == 0) {
+      detector_.add(kCreditBatch);
+      tally.credit = kCreditBatch;
+    }
+    --tally.credit;
+    pool_.push(item, bucket, worker);
+    ++tally.enqueues;
+  }
 
   static PriorityPool<std::uint32_t, Sync> make_pool(
       unsigned workers, core::SchedPolicy policy) {

@@ -98,15 +98,16 @@ RelaxOutcome relax(const GraphView& g, AsyncRunContext& context,
       if (u == AsyncWorklist::kNone) {
         // Nothing runnable HERE is not termination: another worker may
         // still be relaxing (its wakes will repopulate the lanes).
-        // Only the detector's confirmed zero ends the run.
-        if (worklist.try_confirm()) {
+        // Only the detector's confirmed zero ends the run; this idle
+        // worker's attempt first returns its own credit and finishes.
+        if (worklist.try_confirm(w)) {
           OBS_INSTANT(octx, "quiescence.confirmed");
           break;
         }
         // Back off while dry: a long sequential dependency chain can
         // idle most of the pool, and a tight retry loop would ping-pong
-        // the detector counter's cache line against the one worker
-        // whose add/finish RMWs are the critical path.
+        // the lanes' and the detector's cache lines against the workers
+        // that still have work.
         if (++idle_sweeps < 64) {
           std::this_thread::yield();
         } else {
@@ -211,7 +212,7 @@ RelaxOutcome relax(const GraphView& g, AsyncRunContext& context,
       }
       // Retire AFTER the wakes: the detector counts our follow-on work
       // before this unit stops being outstanding.
-      worklist.finish();
+      worklist.finish(w);
     }
     skipped_total.fetch_add(skipped, std::memory_order_relaxed);
     if (lowered_any) lowered_some.store(true, std::memory_order_relaxed);

@@ -92,8 +92,8 @@ struct BspParResult {
 // The one-shot runners above re-derive everything per call. The prepared
 // split serves api::Session's prepare-once / run-many contract, and —
 // since the serving redesign — its CONCURRENT serving contract: prepare_*
-// performs the graph-dependent derivation (assignment, host construction,
-// seed orders) once into a struct that is IMMUTABLE after prepare, and
+// performs the graph-dependent derivation (assignment, host construction)
+// once into a struct that is IMMUTABLE after prepare, and
 // run_*_prepared executes repeatably from it — every run bit-identical to
 // the one-shot runner under the same options. All per-run mutable state
 // (estimate tables, activation flags, worklists) lives in a separate

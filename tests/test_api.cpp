@@ -303,6 +303,14 @@ TEST(ApiCapabilities, BuiltinDescriptorsAreTruthful) {
                                key == api::kProtocolOneToManyPar;
     EXPECT_EQ(caps(key).consumes_comm_policy, flushes_hosts) << key;
   }
+  // §3.2.2 node placement: the host- and shard-based runtimes only.
+  for (const auto key : builtins) {
+    const bool places_nodes = key == api::kProtocolOneToMany ||
+                              key == api::kProtocolBsp ||
+                              key == api::kProtocolOneToManyPar ||
+                              key == api::kProtocolBspPar;
+    EXPECT_EQ(caps(key).consumes_assignment, places_nodes) << key;
+  }
   // Real-thread family: consumes threads, executes on real workers.
   for (const auto key : {api::kProtocolOneToManyPar, api::kProtocolBspPar}) {
     EXPECT_EQ(caps(key).execution, api::ExecutionKind::kThreadedRounds)
@@ -584,6 +592,34 @@ TEST(ApiValidate, SchedRejectedForFixedScheduleRuntimes) {
     request.options.sched = sched;
     EXPECT_TRUE(api::validate(request).empty())
         << api::to_string(sched);
+  }
+}
+
+TEST(ApiValidate, AssignmentRejectedForPlacementFreeRuntimes) {
+  // --assignment places nodes on hosts or worker shards; bsp-async deals
+  // fixed seed chunks to its lanes, so a placement aimed at it (or at a
+  // runtime with no hosts at all) would be silently ignored.
+  const Graph g = gen::clique(4);
+  api::DecomposeRequest request;
+  request.graph = &g;
+  request.options.assignment = api::AssignmentPolicy::kBlock;
+  for (const auto protocol :
+       {api::kProtocolBz, api::kProtocolPeeling, api::kProtocolOneToOne,
+        api::kProtocolBspAsync}) {
+    request.protocol = std::string(protocol);
+    const auto problems = api::validate(request);
+    ASSERT_EQ(problems.size(), 1U) << protocol;
+    EXPECT_NE(problems[0].find("--assignment block only applies to "
+                               "one-to-many, bsp, one-to-many-par and "
+                               "bsp-par"),
+              std::string::npos)
+        << problems[0];
+  }
+  for (const auto protocol :
+       {api::kProtocolOneToMany, api::kProtocolBsp,
+        api::kProtocolOneToManyPar, api::kProtocolBspPar}) {
+    request.protocol = std::string(protocol);
+    EXPECT_TRUE(api::validate(request).empty()) << protocol;
   }
 }
 

@@ -112,6 +112,17 @@ std::vector<Case> property_cases() {
     add("ws seed=" + std::to_string(seed),
         gen::watts_strogatz(60, 4, 0.2, seed));
   }
+  // Multi-chunk graphs: more than one 4096-id seed chunk, so the seeding
+  // itself spreads vertices over the lanes.
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    add("ba n=18000 epn=3 seed=" + std::to_string(seed),
+        gen::barabasi_albert(18000, 3, seed));
+  }
+  const std::vector<Graph> parts{gen::barabasi_albert(6000, 2, 4),
+                                 gen::barabasi_albert(6000, 5, 5),
+                                 gen::barabasi_albert(6000, 8, 6)};
+  add("union of 3 ba n=6000", gen::disjoint_union(parts));
+  add("path n=13000", gen::chain(13000));
   return cases;
 }
 
@@ -122,10 +133,6 @@ std::vector<unsigned> thread_counts() {
   return {counts.begin(), counts.end()};
 }
 
-constexpr api::AssignmentPolicy kPolicies[] = {
-    api::AssignmentPolicy::kModulo, api::AssignmentPolicy::kBlock,
-    api::AssignmentPolicy::kRandom, api::AssignmentPolicy::kHash};
-
 constexpr api::SchedPolicy kScheds[] = {api::SchedPolicy::kLifo,
                                         api::SchedPolicy::kDelta,
                                         api::SchedPolicy::kBound};
@@ -133,21 +140,21 @@ constexpr api::SchedPolicy kScheds[] = {api::SchedPolicy::kLifo,
 TEST(AsyncProperty, MatchesSequentialBaselineOnEveryGeneratedGraph) {
   const auto cases = property_cases();
   ASSERT_GE(cases.size(), 200u);
-  std::size_t index = 0;
   for (const auto& test_case : cases) {
     const auto expected = seq::coreness_bz(test_case.g);
-    // Rotate the initial-distribution policy across cases (the result
-    // must not depend on which lane a vertex starts in) and run the FULL
-    // scheduling-policy matrix: the §4 convergence argument is
-    // schedule-independent, so every policy × thread count must land on
-    // the identical fixed point.
+    // Run the FULL scheduling-policy matrix at every thread count: the
+    // §4 convergence argument is schedule-independent, so every policy ×
+    // thread count must land on the identical fixed point. The result
+    // must not depend on which lane a vertex starts in either: bsp-async
+    // deals 4096-id chunks round-robin, so the single-chunk graphs start
+    // in lane 0 and spread only by stealing, while the multi-chunk cases
+    // start in every lane, in a layout that changes with the thread
+    // count.
     for (const unsigned threads : thread_counts()) {
       for (const api::SchedPolicy sched : kScheds) {
         api::RunOptions options;
         options.threads = threads;
         options.sched = sched;
-        options.assignment = kPolicies[index % 4];
-        options.seed = 1000 + 7 * index + threads;
         const auto report =
             api::decompose(test_case.g, api::kProtocolBspAsync, options);
         ASSERT_TRUE(report.traffic.converged)
@@ -170,7 +177,6 @@ TEST(AsyncProperty, MatchesSequentialBaselineOnEveryGeneratedGraph) {
             << test_case.name;
       }
     }
-    ++index;
   }
 }
 

@@ -2,13 +2,15 @@
 // Chase–Lev steal deque (push/pop/steal races, growth), the in-queue flag
 // protocol (no lost wakeups under forced re-activation), the concurrent
 // quiescence detector (never declares termination while work is
-// outstanding), and par::relax()'s failure path. The graph-level correctness sweep lives in
+// outstanding), the per-worker credit accounting as relax() drives it, and
+// par::relax()'s failure path. The graph-level correctness sweep lives in
 // tests/test_async_property.cpp; here the scheduler is hammered directly.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
 #include <random>
+#include <set>
 #include <span>
 #include <stdexcept>
 #include <thread>
@@ -19,6 +21,7 @@
 #include "par/async_engine.h"
 #include "par/relax.h"
 #include "par/steal_deque.h"
+#include "seq/kcore_seq.h"
 
 namespace kcore {
 namespace {
@@ -212,9 +215,9 @@ TEST(AsyncWorklist, ScheduleDeduplicatesWhileFlagged) {
   EXPECT_TRUE(worklist.schedule(2, 0));
   EXPECT_EQ(worklist.acquire(0), 2u);
   worklist.begin(2);
-  worklist.finish();
-  worklist.finish();
-  EXPECT_TRUE(worklist.try_confirm());
+  worklist.finish(0);
+  worklist.finish(0);
+  EXPECT_TRUE(worklist.try_confirm(0));
   EXPECT_EQ(worklist.total_enqueues(), 2u);
 }
 
@@ -233,10 +236,10 @@ TEST(AsyncWorklist, ForcedReactivationIsNeverLost) {
     if (processed <= kReactivations) {
       ASSERT_TRUE(worklist.schedule(0, 0)) << "wakeup lost at " << processed;
     }
-    worklist.finish();
+    worklist.finish(0);
   }
   EXPECT_EQ(processed, kReactivations + 1);
-  EXPECT_TRUE(worklist.try_confirm());
+  EXPECT_TRUE(worklist.try_confirm(0));
 }
 
 /// The full protocol under contention: workers acquire, re-activate
@@ -262,7 +265,7 @@ TEST(AsyncWorklistStress, EveryEnqueueIsProcessedExactlyOnce) {
     while (!worklist.done()) {
       const std::uint32_t item = worklist.acquire(w);
       if (item == par::AsyncWorklist::kNone) {
-        if (worklist.try_confirm()) break;
+        if (worklist.try_confirm(w)) break;
         std::this_thread::yield();
         continue;
       }
@@ -279,7 +282,7 @@ TEST(AsyncWorklistStress, EveryEnqueueIsProcessedExactlyOnce) {
         const auto target = static_cast<std::uint32_t>(rng() % kItems);
         (void)worklist.schedule(target, w);
       }
-      worklist.finish();
+      worklist.finish(w);
     }
     begins[w] = mine;
   };
@@ -303,8 +306,91 @@ TEST(AsyncWorklistStress, EveryEnqueueIsProcessedExactlyOnce) {
 }
 
 // ---------------------------------------------------------------------------
-// relax() failure path
+// relax() — credit accounting end to end, and the failure path
 // ---------------------------------------------------------------------------
+
+/// A graph view that counts neighbors() calls: relax() asks for the
+/// neighborhood exactly once per relaxation, so the count is the number
+/// of relaxations, kept independently of the worklist's own tallies.
+struct CountingView {
+  const graph::Graph& g;
+  std::atomic<std::uint64_t>& calls;
+  [[nodiscard]] std::span<const graph::NodeId> neighbors(
+      graph::NodeId u) const {
+    calls.fetch_add(1, std::memory_order_relaxed);
+    return g.neighbors(u);
+  }
+};
+
+/// Reset the worklist and seed every vertex of `g` in 64-id chunks dealt
+/// round-robin to the lanes, so every lane draws on its own credit. With
+/// `from_degrees` the table restarts at the degrees; without, it keeps
+/// its current (upper-bound) estimates, as a live repair retry does.
+void seed_every_vertex(const graph::Graph& g, par::AsyncRunContext& context,
+                       bool from_degrees) {
+  par::AsyncWorklist& worklist = *context.worklist;
+  worklist.reset();
+  for (graph::NodeId u = 0; u < g.num_nodes(); ++u) {
+    if (from_degrees) {
+      context.est[u].store(g.degree(u), std::memory_order_relaxed);
+    }
+    const graph::NodeId k = context.est[u].load(std::memory_order_relaxed);
+    worklist.seed(u, (u / 64) % worklist.workers(), par::bound_bucket(k));
+  }
+}
+
+/// Relax with a counting view and check the run's three invariants:
+/// coreness equals bz, the detector ended at exactly zero (every worker
+/// returned its credit and flushed its finishes), and the enqueue tally
+/// equals the relaxations actually performed (exactly-once scheduling).
+void expect_exact_run(const graph::Graph& g, par::AsyncRunContext& context) {
+  std::atomic<std::uint64_t> relaxations{0};
+  const CountingView view{g, relaxations};
+  (void)par::relax(view, context, true, nullptr);
+  const par::AsyncWorklist& worklist = *context.worklist;
+  std::vector<graph::NodeId> coreness(g.num_nodes());
+  for (graph::NodeId u = 0; u < g.num_nodes(); ++u) {
+    coreness[u] = context.est[u].load(std::memory_order_relaxed);
+  }
+  EXPECT_EQ(coreness, seq::coreness_bz(g));
+  EXPECT_TRUE(worklist.done());
+  EXPECT_EQ(worklist.detector().outstanding(), 0);
+  EXPECT_EQ(worklist.total_enqueues(), relaxations.load());
+  EXPECT_GE(relaxations.load(), g.num_nodes());
+}
+
+std::vector<unsigned> relax_worker_counts() {
+  std::set<unsigned> counts{1, 2, 4};
+  const unsigned hw = std::thread::hardware_concurrency();
+  if (hw > 0) counts.insert(hw);
+  return {counts.begin(), counts.end()};
+}
+
+TEST(Relax, CreditAccountingEndsAtZeroAndCountsEveryRelaxation) {
+  const std::vector<graph::NodeId> clique_sizes{30, 3, 12, 50, 7};
+  const graph::Graph graphs[] = {
+      graph::gen::barabasi_albert(3000, 4, 3),
+      graph::gen::erdos_renyi_gnm(2000, 9000, 5),
+      graph::gen::chain(3000),  // one long sequential dependency chain
+      graph::gen::disjoint_cliques(clique_sizes)};
+  for (const graph::Graph& g : graphs) {
+    for (const unsigned workers : relax_worker_counts()) {
+      for (const auto sched :
+           {core::SchedPolicy::kLifo, core::SchedPolicy::kBound}) {
+        SCOPED_TRACE(testing::Message()
+                     << "n=" << g.num_nodes() << " workers=" << workers
+                     << " sched=" << core::to_string(sched));
+        par::AsyncRunContext context(g.num_nodes(), workers, sched);
+        seed_every_vertex(g, context, true);
+        expect_exact_run(g, context);
+        // A second run on the same context: reset() must re-arm the
+        // detector and clear every worker's credit.
+        seed_every_vertex(g, context, true);
+        expect_exact_run(g, context);
+      }
+    }
+  }
+}
 
 /// A graph view whose neighbors() throws the first time it is asked for
 /// one vertex. Only once: a vertex that threw on every visit would, once
@@ -342,6 +428,26 @@ TEST(Relax, WorkerExceptionReachesTheCallerAndStopsTheRest) {
     const ThrowOnceView view{g, n / 2, thrown};
     EXPECT_THROW((void)par::relax(view, context, true, nullptr),
                  std::runtime_error);
+  }
+}
+
+TEST(Relax, AbortedRunThenResetRelaxesExactly) {
+  // The live repair retry path: a worker's exception abandons the run
+  // with credit reserved and finishes unflushed in every lane; reset()
+  // must clear them, and a re-seeded run from the half-relaxed table
+  // (still an upper bound) must converge to bz with the detector at zero.
+  const graph::Graph g = graph::gen::barabasi_albert(3000, 5, 11);
+  for (const unsigned workers : relax_worker_counts()) {
+    SCOPED_TRACE(workers);
+    par::AsyncRunContext context(g.num_nodes(), workers,
+                                 core::SchedPolicy::kLifo);
+    seed_every_vertex(g, context, true);
+    std::atomic<bool> thrown{false};
+    const ThrowOnceView view{g, g.num_nodes() / 3, thrown};
+    EXPECT_THROW((void)par::relax(view, context, true, nullptr),
+                 std::runtime_error);
+    seed_every_vertex(g, context, false);
+    expect_exact_run(g, context);
   }
 }
 

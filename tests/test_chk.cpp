@@ -448,7 +448,7 @@ chk::Program worklist_chain(std::shared_ptr<std::array<int, 2>> begins) {
       while (!wl->done()) {
         const std::uint32_t u = wl->acquire(w);
         if (u == ModelWorklist::kNone) {
-          if (wl->try_confirm()) break;
+          if (wl->try_confirm(w)) break;
           chk::yield();
           continue;
         }
@@ -462,7 +462,7 @@ chk::Program worklist_chain(std::shared_ptr<std::array<int, 2>> begins) {
               x->load(std::memory_order_relaxed, "chain.read_x") == 1,
               "lost-wakeup handshake: item 1 ran without seeing x=1");
         }
-        wl->finish();
+        wl->finish(w);
       }
     };
   };

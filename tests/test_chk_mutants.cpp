@@ -210,7 +210,7 @@ chk::Program wakeup_handshake(std::shared_ptr<int> wake_seen) {
     while (!wl->done()) {
       const std::uint32_t u = wl->acquire(w);
       if (u == ModelWorklist::kNone) {
-        if (wl->try_confirm()) break;
+        if (wl->try_confirm(w)) break;
         chk::yield();
         continue;
       }
@@ -221,7 +221,7 @@ chk::Program wakeup_handshake(std::shared_ptr<int> wake_seen) {
       } else if (x->load(std::memory_order_relaxed, "hs.read_x") == 1) {
         *wake_seen = 1;  // item 0: this processing observed the input
       }
-      wl->finish();
+      wl->finish(w);
     }
   };
   p.threads.push_back([=] { drain(0); });
@@ -292,8 +292,8 @@ chk::Program quiescence_publication() {
     chk::require(u == 0, "seeded item was not acquirable");
     wl->begin(u);
     result->store(1, std::memory_order_relaxed, "qp.write_result");
-    wl->finish();
-    while (!wl->try_confirm()) chk::yield();
+    wl->finish(0);
+    while (!wl->try_confirm(0)) chk::yield();
   });
   p.threads.push_back([=] {  // observer
     while (!wl->done()) chk::yield();
@@ -335,6 +335,59 @@ TEST(ChkMutants, QuiescencePublicationUnmutatedIsClean) {
   const chk::Outcome out =
       chk::explore(exhaustive(1, {}), quiescence_publication);
   EXPECT_FALSE(out.violation) << out.what << "\n" << out.trace;
+}
+
+// ---------------------------------------------------------------------------
+// Program 5: credit-flush publication. The worklist runs with
+// kCreditBatch == 2 under the model, so seeding the one item refills lane
+// 0's credit and worker 0's try_confirm() returns the unspent credit and
+// its unflushed finish in one detector finish(). Worker 1 never touches
+// the item; it only confirms, and once it sees done it requires the
+// item's result. The zero it confirms on may come from worker 0's flush
+// alone, so that flush must be a release.
+// ---------------------------------------------------------------------------
+
+chk::Program credit_flush_publication() {
+  auto wl = std::make_shared<ModelWorklist>(1, 2, core::SchedPolicy::kLifo);
+  auto result = std::make_shared<chk::ModelAtomic<int>>(0, "cf.result");
+  wl->seed(0, 0);
+  chk::Program p;
+  p.threads.push_back([=] {  // worker 0: process the item, flush, confirm
+    const std::uint32_t u = wl->acquire(0);
+    chk::require(u == 0, "seeded item was not acquirable");
+    wl->begin(u);
+    result->store(1, std::memory_order_relaxed, "cf.write_result");
+    wl->finish(0);
+    while (!wl->try_confirm(0)) chk::yield();
+  });
+  p.threads.push_back([=] {  // worker 1: idle, confirms on worker 0's flush
+    while (!wl->try_confirm(1)) chk::yield();
+    chk::require(
+        result->load(std::memory_order_relaxed, "cf.read_result") == 1,
+        "quiescence confirmed before the flushed work's results");
+    chk::require(wl->detector().outstanding() == 0,
+                 "detector confirmed with credit or finishes unflushed");
+  });
+  return p;
+}
+
+// Relaxing the detector's finish() — the RMW that returns a worker's
+// credit and finishes — lets the OTHER worker read the zero it left
+// without synchronizing with it: that worker confirms and reads the
+// result stale. (The same-thread confirmation of Program 4 cannot see
+// this; the credit protocol makes a remote confirmer the common case.)
+TEST(ChkMutants, CreditFlushReleaseWeakenIsCaught) {
+  const chk::Options opt =
+      exhaustive(2, {chk::Mutation::weaken("qd.finish")});
+  expect_caught(chk::explore(opt, credit_flush_publication), opt,
+                "confirmed before the flushed work's results");
+}
+
+TEST(ChkMutants, CreditFlushPublicationUnmutatedIsClean) {
+  const chk::Outcome out =
+      chk::explore(exhaustive(2, {}), credit_flush_publication);
+  EXPECT_FALSE(out.violation) << out.what << "\n" << out.trace;
+  EXPECT_TRUE(out.exhausted);
 }
 
 // ---------------------------------------------------------------------------

@@ -2,14 +2,24 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <fstream>
+#include <numeric>
 #include <sstream>
+#include <vector>
 
 #include "graph/generators.h"
 #include "util/check.h"
 
 namespace kcore::graph {
 namespace {
+
+/// The id table of a base graph whose file ids are already 0..n-1.
+std::vector<std::uint64_t> dense_ids(std::size_t n) {
+  std::vector<std::uint64_t> ids(n);
+  std::iota(ids.begin(), ids.end(), std::uint64_t{0});
+  return ids;
+}
 
 TEST(EdgeList, ParsesSimpleInput) {
   std::istringstream in("0 1\n1 2\n2 0\n");
@@ -71,7 +81,7 @@ TEST(EdgeStream, ParsesOpsCommentsAndBlankLines) {
       "% another comment\n"
       "0 - 3 4\n"
       "5 + 2 3\n");
-  const EdgeStream stream = read_edge_stream(in);
+  const EdgeStream stream = read_edge_stream(in, dense_ids(5));
   ASSERT_EQ(stream.events.size(), 3U);
   EXPECT_EQ(stream.events[0],
             (TimedEdgeUpdate{0, {EdgeOp::kInsert, 1, 2}}));
@@ -81,22 +91,47 @@ TEST(EdgeStream, ParsesOpsCommentsAndBlankLines) {
             (TimedEdgeUpdate{5, {EdgeOp::kInsert, 2, 3}}));
 }
 
+TEST(EdgeStream, MapsFileIdsThroughTheBaseGraphsIdTable) {
+  // Base file ids {5, 9, 3, 7} are dense {0, 1, 2, 3} in order of first
+  // appearance; the stream names nodes by their file ids.
+  std::istringstream base("5 9\n9 3\n3 5\n3 7\n");
+  const LoadedGraph loaded = read_edge_list(base);
+  std::istringstream in("0 - 5 9\n1 + 7 9\n");
+  const EdgeStream stream =
+      read_edge_stream(in, loaded.original_ids, "updates");
+  ASSERT_EQ(stream.events.size(), 2U);
+  EXPECT_EQ(stream.events[0], (TimedEdgeUpdate{0, {EdgeOp::kRemove, 0, 1}}));
+  EXPECT_EQ(stream.events[1], (TimedEdgeUpdate{1, {EdgeOp::kInsert, 3, 1}}));
+
+  // An id the base file never named is rejected with its line number,
+  // even when it is a valid dense id (0 is dense, not a file id, here).
+  std::istringstream unknown("0 + 5 9\n0 + 0 9\n");
+  try {
+    (void)read_edge_stream(unknown, loaded.original_ids, "updates");
+    FAIL() << "an id outside the table was accepted";
+  } catch (const util::IoError& error) {
+    EXPECT_NE(std::string(error.what()).find("updates line 2"),
+              std::string::npos)
+        << error.what();
+  }
+}
+
 TEST(EdgeStream, RejectsMalformedInput) {
   {
     std::istringstream in("0 + 1\n");  // missing endpoint
-    EXPECT_THROW(read_edge_stream(in), util::IoError);
+    EXPECT_THROW(read_edge_stream(in, dense_ids(5)), util::IoError);
   }
   {
     std::istringstream in("0 * 1 2\n");  // unknown op
-    EXPECT_THROW(read_edge_stream(in), util::IoError);
+    EXPECT_THROW(read_edge_stream(in, dense_ids(5)), util::IoError);
   }
   {
     std::istringstream in("5 + 1 2\n3 - 1 2\n");  // time goes backwards
-    EXPECT_THROW(read_edge_stream(in), util::IoError);
+    EXPECT_THROW(read_edge_stream(in, dense_ids(5)), util::IoError);
   }
   {
     std::istringstream in("not-a-stream\n");
-    EXPECT_THROW(read_edge_stream(in), util::IoError);
+    EXPECT_THROW(read_edge_stream(in, dense_ids(5)), util::IoError);
   }
 }
 
@@ -109,7 +144,7 @@ TEST(EdgeStream, RoundTripsThroughWriteAndRead) {
   std::ostringstream out;
   write_edge_stream(out, original);
   std::istringstream in(out.str());
-  const EdgeStream reread = read_edge_stream(in);
+  const EdgeStream reread = read_edge_stream(in, dense_ids(5));
   EXPECT_EQ(reread.events, original.events);
 }
 
@@ -203,7 +238,7 @@ TEST(EdgeStream, ParseErrorsNameSourceAndLine) {
   // what `kcore stream` prints verbatim before exiting.
   std::istringstream in("0 + 1 2\n1 * 3 4\n");
   try {
-    read_edge_stream(in, "churn.txt");
+    (void)read_edge_stream(in, dense_ids(5), "churn.txt");
     FAIL() << "expected util::IoError";
   } catch (const util::IoError& e) {
     const std::string what = e.what();
@@ -220,7 +255,7 @@ TEST(EdgeStream, FileParseErrorsNameThePath) {
     out << "0 + 1 2\n5 - 1\n";
   }
   try {
-    (void)read_edge_stream_file(path);
+    (void)read_edge_stream_file(path, dense_ids(3));
     FAIL() << "expected util::IoError";
   } catch (const util::IoError& e) {
     const std::string what = e.what();

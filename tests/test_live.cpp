@@ -108,7 +108,8 @@ TEST(UpdateLog, FromStreamMatchesBatchByWindow) {
       "0 + 0 1\n"
       "1 + 1 2\n"
       "9 - 0 1\n");
-  const graph::EdgeStream stream = graph::read_edge_stream(in);
+  const std::vector<std::uint64_t> ids = {0, 1, 2};  // file id = dense id
+  const graph::EdgeStream stream = graph::read_edge_stream(in, ids);
   const UpdateLog log = UpdateLog::from_stream(stream, 5);
   ASSERT_EQ(log.num_batches(), 2U);
   EXPECT_EQ(log.batch(0).size(), 2U);

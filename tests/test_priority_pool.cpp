@@ -198,9 +198,9 @@ TEST(AsyncWorklistPolicies, ScheduleDeduplicatesWhileFlaggedUnderEveryPolicy) {
     EXPECT_TRUE(worklist.schedule(2, 0, 9));  // re-activation after clear
     EXPECT_EQ(worklist.acquire(0), 2u);
     worklist.begin(2);
-    worklist.finish();
-    worklist.finish();
-    EXPECT_TRUE(worklist.try_confirm());
+    worklist.finish(0);
+    worklist.finish(0);
+    EXPECT_TRUE(worklist.try_confirm(0));
     EXPECT_EQ(worklist.total_enqueues(), 2u);
   }
 }
@@ -252,7 +252,7 @@ TEST(AsyncWorklistPolicyStress, ExactlyOnceUnderEveryPolicyAndAfterReset) {
         while (!worklist.done()) {
           const std::uint32_t item = worklist.acquire(w);
           if (item == par::AsyncWorklist::kNone) {
-            if (worklist.try_confirm()) break;
+            if (worklist.try_confirm(w)) break;
             std::this_thread::yield();
             continue;
           }
@@ -266,7 +266,7 @@ TEST(AsyncWorklistPolicyStress, ExactlyOnceUnderEveryPolicyAndAfterReset) {
             (void)worklist.schedule(target, w,
                                     static_cast<std::uint32_t>(rng() % 90));
           }
-          worklist.finish();
+          worklist.finish(w);
         }
         begins[w] = mine;
       };

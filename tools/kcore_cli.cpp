@@ -11,7 +11,8 @@
 //              [run options]
 //   generate   --family NAME [--n N] [--seed S] [--output FILE] [...]
 //   stream     --input FILE --updates FILE [--window W] [--verify]
-//              [--wal DIR [--recover]] [--fsync POLICY]
+//              (update ids are --input's own node ids, also under
+//              --recover) [--wal DIR [--recover]] [--fsync POLICY]
 //              [--checkpoint-every N] [run options] [--json]
 //   stats      --input FILE
 //   dot        --input FILE [--output FILE] [--max-nodes N]
@@ -39,6 +40,7 @@
 #include <iostream>
 #include <limits>
 #include <memory>
+#include <span>
 #include <string>
 #include <variant>
 #include <vector>
@@ -59,6 +61,7 @@
 #include "util/args.h"
 #include "util/json.h"
 #include "util/stats.h"
+#include "util/storage.h"
 #include "util/table.h"
 
 namespace {
@@ -87,7 +90,9 @@ int usage() {
             << "            [run options] [--json]  (NDJSON: one report "
                "per run)\n"
             << "  stream    --input FILE --updates FILE (t op u v lines, "
-               "op + or -)\n"
+               "op + or -;\n"
+            << "                            u v are node ids as written in "
+               "--input)\n"
             << "            [--window W]   (batch events into W-tick "
                "windows; 0 = per timestamp)\n"
             << "            [--verify]     (check every epoch against a "
@@ -99,10 +104,14 @@ int usage() {
             << "            [--checkpoint-every N] [--keep-checkpoints N]\n"
             << "            [--recover]    (restart from DIR's newest "
                "checkpoint + WAL tail;\n"
-            << "                            --input not needed; resumes "
-               "--updates where it left\n"
-            << "                            off — use the SAME --window "
-               "as the original run)\n"
+            << "                            resumes --updates where it "
+               "left off — use the SAME\n"
+            << "                            --window and --input as the "
+               "original run: update ids\n"
+            << "                            are read through --input's "
+               "ids, which must equal the\n"
+            << "                            ids DIR recorded when the "
+               "original run started)\n"
             << "            [--provisional-deadline MS] (publish sound "
                "upper-bound snapshots\n"
             << "                            when a repair overruns MS)\n"
@@ -122,10 +131,10 @@ int usage() {
   return 2;
 }
 
-graph::Graph load(const util::Args& args) {
+graph::LoadedGraph load(const util::Args& args) {
   const auto path = args.get("input");
   KCORE_CHECK_MSG(path.has_value(), "--input FILE is required");
-  return graph::read_edge_list_file(*path).graph;
+  return graph::read_edge_list_file(*path);
 }
 
 /// Protocol-specific tail of the one-line run summary, from the report's
@@ -176,7 +185,7 @@ std::string detail_of(const api::DecomposeReport& report) {
 }
 
 int cmd_decompose(const util::Args& args) {
-  const graph::Graph g = load(args);
+  const graph::Graph g = load(args).graph;
   const std::string algo = args.get_string("algo", "bz");
   if (!api::ProtocolRegistry::instance().contains(algo)) {
     std::cerr << "unknown --algo '" << algo << "'\n";
@@ -366,7 +375,7 @@ int cmd_generate(const util::Args& args) {
 }
 
 int cmd_stats(const util::Args& args) {
-  const graph::Graph g = load(args);
+  const graph::Graph g = load(args).graph;
   const auto degrees = graph::degree_summary(g);
   const auto components = graph::connected_components(g);
   const auto coreness = seq::coreness_bz(g);
@@ -403,7 +412,7 @@ int cmd_stats(const util::Args& args) {
 }
 
 int cmd_dot(const util::Args& args) {
-  const graph::Graph g = load(args);
+  const graph::Graph g = load(args).graph;
   const auto coreness = seq::coreness_bz(g);
   graph::DotOptions options;
   options.max_nodes =
@@ -470,7 +479,7 @@ std::vector<std::string> split_csv(const std::string& value) {
 }
 
 int cmd_sweep(const util::Args& args) {
-  const graph::Graph g = load(args);
+  const graph::Graph g = load(args).graph;
   api::PlanSpec spec;
   spec.base = api::run_options_from_args(args);
   spec.repeats = static_cast<int>(args.get_int("repeat", 3));
@@ -570,18 +579,58 @@ int cmd_sweep(const util::Args& args) {
   return 0;
 }
 
+// A durable stream run records --input's id table in its state directory,
+// so that --recover can refuse an --input whose ids differ: the remaining
+// updates must reach the same nodes as the ones the original run applied.
+constexpr char kNodeIdsFile[] = "/node_ids";
+
+std::string encode_node_ids(std::span<const std::uint64_t> ids) {
+  std::string text;
+  for (const std::uint64_t id : ids) text += std::to_string(id) + '\n';
+  return text;
+}
+
+void store_node_ids(const std::string& dir,
+                    std::span<const std::uint64_t> ids) {
+  util::Storage& storage = util::real_storage();
+  const std::string path = dir + kNodeIdsFile;
+  storage.write_file(path + ".tmp", encode_node_ids(ids));
+  storage.sync_file(path + ".tmp");
+  storage.rename_file(path + ".tmp", path);
+}
+
+void check_node_ids(const std::string& dir,
+                    std::span<const std::uint64_t> ids) {
+  util::Storage& storage = util::real_storage();
+  const std::string path = dir + kNodeIdsFile;
+  if (!storage.exists(path)) {
+    throw util::IoError(path +
+                        ": missing, so the node ids of the original --input "
+                        "are unknown (the run stopped before recording "
+                        "them) — start a fresh durable run");
+  }
+  if (storage.read_file(path) != encode_node_ids(ids)) {
+    throw util::IoError("--input's node ids differ from those recorded in " +
+                        path + " — pass the --input of the original run");
+  }
+}
+
 int cmd_stream(const util::Args& args) {
   const auto updates_path = args.get("updates");
   KCORE_CHECK_MSG(updates_path.has_value(), "--updates FILE is required");
+  const bool verify = args.has("verify");
+  const bool json = args.has("json");
+  const bool recover = args.has("recover");
+  // Update ids are --input's file ids, mapped to the service's dense ids
+  // through the file's id table (an id the file never names is rejected
+  // with its line number) — in a fresh run and under --recover alike.
+  graph::LoadedGraph base = load(args);
   const graph::EdgeStream stream =
-      graph::read_edge_stream_file(*updates_path);
+      graph::read_edge_stream_file(*updates_path, base.original_ids);
   constexpr auto kMaxI64 = std::numeric_limits<std::int64_t>::max();
   const auto window =
       static_cast<std::uint64_t>(args.get_checked("window", 0, kMaxI64));
   const live::UpdateLog log = live::UpdateLog::from_stream(stream, window);
-  const bool verify = args.has("verify");
-  const bool json = args.has("json");
-  const bool recover = args.has("recover");
 
   const auto run = api::run_options_from_args(args);
   live::ServiceOptions options;
@@ -611,8 +660,8 @@ int cmd_stream(const util::Args& args) {
         "--recover needs --wal DIR (the state directory to recover from)");
   }
 
-  // --recover rebuilds topology + coreness from the state directory, so
-  // --input is not needed; a fresh run loads the base graph from --input.
+  // --recover rebuilds topology + coreness from the state directory; a
+  // fresh run starts from the --input graph.
   std::unique_ptr<live::Service> service;
   live::RecoveryInfo recovery;
   std::size_t first_batch = 0;
@@ -623,12 +672,14 @@ int cmd_stream(const util::Args& args) {
     // Resuming there (not at 0) is required for correctness: re-applying
     // an already-applied prefix would undo later inserts' removes.
     first_batch = static_cast<std::size_t>(recovery.recovered_epoch);
+    check_node_ids(durability.dir, base.original_ids);
+  } else if (durability.dir.empty()) {
+    service = std::make_unique<live::Service>(base.graph, options);
   } else {
-    const graph::Graph g = load(args);
-    service = durability.dir.empty()
-                  ? std::make_unique<live::Service>(g, options)
-                  : std::make_unique<live::Service>(g, options, durability);
+    service = std::make_unique<live::Service>(base.graph, options, durability);
+    store_node_ids(durability.dir, base.original_ids);
   }
+  base = graph::LoadedGraph{};  // the service holds its own copy of the graph
   const bool durable = service->durable();
 
   std::uint64_t mismatched_epochs = 0;
